@@ -7,8 +7,8 @@
 //                          the injector + commit-protocol overhead on the
 //                          fault-free hot path;
 //   admin_op_fault1_us   — the same mutation at ~1% fault rates;
-//   admin_op_fault10_us  — at ~10% fault rates (retries, CAS re-syncs and
-//                          op-log merges dominate);
+//   admin_op_fault10_us  — at ~10% fault rates (retries and CAS re-syncs
+//                          dominate);
 //   recover_64p_us       — AdminApi::recover() of a committed 64-partition
 //                          group: full signed-metadata re-sync, counter
 //                          bump-past, orphan sweep;

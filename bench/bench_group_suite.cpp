@@ -41,6 +41,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common.h"
@@ -222,17 +223,23 @@ class MetaGroup {
   }
 
   /// Serializes what the admin uploads for this mutation and returns the
-  /// byte total: the rewritten host shard, the signed single-op delta, and
-  /// the manifest carrying every shard ref.
+  /// byte total: the rewritten host shard, the previous commit's delta
+  /// (copied out of its manifest), and the manifest carrying every shard ref
+  /// and this commit's signed single-op delta.
   std::size_t commit(std::size_t shard, DeltaOp::Kind kind,
                      const Identity& id) {
     refresh_ref(shards_[shard]);
     IndexDelta delta;
     delta.seq = ++counter_;
+    delta.prev_log_head = head_;
+    delta.admin = "admin";
     DeltaOp op;
     op.kind = kind;
     op.user = id;
     delta.ops = {op};
+    head_ = delta.log_head();
+    const std::size_t envelope = delta.to_bytes().size() + kEnvelopeOverhead;
+    const std::size_t previous = std::exchange(last_envelope_, envelope);
     GroupManifest manifest;
     manifest.shards.reserve(shards_.size());
     // Emptied shards leave the manifest (the admin erases them); slots stay
@@ -241,8 +248,9 @@ class MetaGroup {
       if (!s.shard.partitions.empty()) manifest.shards.push_back(s.ref);
     }
     manifest.delta_base = counter_ > 64 ? counter_ - 63 : 1;
-    return shards_[shard].bytes + delta.to_bytes().size() + kEnvelopeOverhead +
-           manifest.to_bytes().size() + kEnvelopeOverhead;
+    manifest.delta.resize(envelope);  // the embedded envelope's size
+    return shards_[shard].bytes + previous + manifest.to_bytes().size() +
+           kEnvelopeOverhead;
   }
 
   std::size_t m_;
@@ -253,6 +261,8 @@ class MetaGroup {
   PartitionId next_pid_ = 0;
   std::uint64_t next_object_ = 0;
   std::uint64_t counter_ = 0;
+  ibbe::system::Hash32 head_{};
+  std::size_t last_envelope_ = 0;
 };
 
 struct ChurnResult {
@@ -302,6 +312,7 @@ ChurnResult million_member_churn(std::size_t members, int churn_ops) {
       IndexDelta d;
       d.seq = view.counter + 1;
       d.prev_log_head = view.log_head;
+      d.admin = "admin";
       DeltaOp op;
       op.kind = kind;
       op.user = joiner;

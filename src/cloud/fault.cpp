@@ -15,6 +15,17 @@ bool ends_with(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
+/// True for a group's membership-log delta, ".../d<digits>".
+bool is_delta_path(const std::string& path) {
+  auto slash = path.rfind('/');
+  if (slash == std::string::npos || slash + 2 >= path.size() ||
+      path[slash + 1] != 'd') {
+    return false;
+  }
+  return std::all_of(path.begin() + static_cast<std::ptrdiff_t>(slash) + 2,
+                     path.end(), [](char c) { return c >= '0' && c <= '9'; });
+}
+
 }  // namespace
 
 FaultInjectingStore::FaultInjectingStore(CloudStore& inner, FaultPlan plan)
@@ -383,7 +394,7 @@ std::optional<std::size_t> MaliciousStore::gen_for_read_locked(
     ++stats_.stale_serves;
     return vs.window_gen;
   }
-  if (ends_with(path, "/oplog") && roll_locked(plan_.withhold_rate)) {
+  if (is_delta_path(path) && roll_locked(plan_.withhold_rate)) {
     ++stats_.withheld_log_reads;
     return util::splitmix64(rng_state_) % snapshots_.size();
   }

@@ -27,7 +27,8 @@
 // MaliciousStore (below) is the BYZANTINE tier on top of the same decorator
 // pattern: instead of failing round trips it answers them with stale truths —
 // whole old generations (rollback), different generations to different
-// clients (forking), an old op-log under a live index (tail withholding), or
+// clients (forking), a membership-log delta withheld under a live index (tail
+// withholding), or
 // a single stale file in an otherwise live view (equivocation). Stack it
 // under a FaultInjectingStore to compose both tiers.
 //
@@ -168,12 +169,14 @@ class FaultInjectingStore : public CloudStore {
 /// that answers from a rolled-back replica for a while and then "heals".
 struct MaliciousPlan {
   std::uint64_t seed = 1;
-  /// Enter a rollback window: every targeted read (index, op-log, partitions,
-  /// directory versions — a wholesale old index+log pair) is served from one
-  /// randomly chosen earlier committed generation for the window's length.
+  /// Enter a rollback window: every targeted read (index, deltas, shards,
+  /// directory versions — a wholesale old manifest+log pair) is served from
+  /// one randomly chosen earlier committed generation for the window's
+  /// length.
   double rollback_rate = 0.0;
-  /// One-shot: an op-log read alone is served from an old generation while
-  /// the index stays live (tail withholding).
+  /// One-shot: a delta (d<seq>) read alone is served from an old generation —
+  /// typically one predating the delta — while the index stays live (tail
+  /// withholding).
   double withhold_rate = 0.0;
   /// One-shot: THIS read alone is served from an old generation while
   /// everything around it stays live (selective stale equivocation).
@@ -193,7 +196,7 @@ struct MaliciousStats {
   std::uint64_t generations = 0;        // committed snapshots captured
   std::uint64_t rollback_windows = 0;   // windows entered by the schedule
   std::uint64_t stale_serves = 0;       // reads answered from an old generation
-  std::uint64_t withheld_log_reads = 0; // one-shot old op-log serves
+  std::uint64_t withheld_log_reads = 0; // one-shot old delta serves
   std::uint64_t equivocations = 0;      // one-shot old single-file serves
   std::uint64_t rejected_writes = 0;    // losing CAS payloads captured
 
@@ -205,7 +208,7 @@ struct MaliciousStats {
 /// A Byzantine CloudStore decorator. Every successful write to an index path
 /// under the target prefix snapshots the namespace ("committed generation");
 /// reads can then be answered from any earlier generation — wholesale
-/// (rollback), per client (forking via `view()`), for the op-log only
+/// (rollback), per client (forking via `view()`), for delta reads only
 /// (withholding), or for one path only (equivocation). Writes always pass
 /// through to the live inner store: the adversary can replay old truths, but
 /// it cannot forge signed metadata, and it keeps every losing CAS payload as

@@ -31,11 +31,12 @@ struct PartitionCiphertext {
 /// Enclave-signed freshness attestation (ROTE-style rollback defense). The
 /// enclave binds a group's commit to a platform monotonic counter: the token
 /// vouches "counter C was attested for group g together with gk epoch E and
-/// op-log head H". It is stored INSIDE the committed index (same signature,
-/// same CAS), so a Byzantine cloud cannot tear the token from the state it
-/// vouches for; it can only replay a whole old (index, token) pair — which
-/// any verifier with a higher-water mark, a fresher peer observation, or the
-/// attesting platform itself then detects as a rollback.
+/// membership-log (delta chain) head H". It is stored INSIDE the committed
+/// index (same signature, same CAS), so a Byzantine cloud cannot tear the
+/// token from the state it vouches for; it can only replay a whole old
+/// (index, token) pair — which any verifier with a higher-water mark, a
+/// fresher peer observation, or the attesting platform itself then detects
+/// as a rollback.
 struct FreshnessToken {
   std::uint64_t counter = 0;  // 0 = no attestation (pre-freshness metadata)
   std::uint64_t gk_epoch = 0;

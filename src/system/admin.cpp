@@ -11,13 +11,12 @@ using core::Identity;
 namespace {
 
 constexpr int max_cas_retries = 8;
-constexpr int max_log_publish_attempts = 64;
 
 /// Parses the decimal id out of a group-relative filename of the form
 /// "s<digits>" / "c<digits>" / "o<digits>" / "d<digits>" or
-/// "gk<digits>.sealed". nullopt for anything else — note that "oplog" and
-/// "index" fail the digit parse, which is why every sweep below matches
-/// files through this helper and never by raw prefix.
+/// "gk<digits>.sealed". nullopt for anything else — note that "index" fails
+/// the digit parse, which is why every sweep below matches files through
+/// this helper and never by raw prefix.
 std::optional<std::uint64_t> parse_numbered(const std::string& name,
                                             const std::string& prefix,
                                             const std::string& suffix) {
@@ -184,59 +183,49 @@ GroupManifest AdminApi::build_manifest(const GroupState& state) const {
   m.cipher_set = state.cipher_set;
   m.overlays = state.overlays;
   m.gk_epoch = state.gk_epoch;
-  m.log_head = state.freshness.log_head;
   m.freshness = state.freshness;
   m.delta_base = state.delta_base;
-  return m;  // delta_hash stays zero; push_index fills the commit fields
+  m.delta = state.head_delta;
+  return m;
 }
 
-bool AdminApi::push_index(const GroupId& gid, GroupState& state,
-                          const LogHead& log_head) {
-  // Tentative freshness attestation: the enclave signs one counter above
-  // everything it (or this admin's last sync) knows committed, but persists
-  // nothing yet — an abandoned CAS attempt must not open a gap between the
-  // platform counter and the highest committed token.
+bool AdminApi::push_index(const GroupId& gid, GroupState& state) {
+  IndexDelta delta;
+  delta.prev_log_head = state.freshness.log_head;  // all-zero at genesis
+  delta.admin = config_.admin_name;
+  delta.ops = std::move(state.pending_delta);
+  // Tentative freshness attestation of the new head: the enclave signs one
+  // counter above everything it (or this admin's last sync) knows committed,
+  // but persists nothing yet — an abandoned CAS attempt must not open a gap
+  // between the platform counter and the highest committed token.
   auto token = enclave_.ecall_attest_freshness(
-      gid, state.freshness.counter, state.gk_epoch, log_head);
+      gid, state.freshness.counter, state.gk_epoch, delta.log_head());
+  delta.seq = token.counter;
+  auto delta_env =
+      SignedEnvelope::sign(signing_key_, delta.to_bytes()).to_bytes();
 
-  const bool barrier = state.pending_delta.empty();
-  Hash32 delta_hash{};
-  std::uint64_t delta_base = state.delta_base;
-  if (barrier) {
-    // Snapshot barrier (creation, full re-partition): no delta exists for
-    // this commit, and nothing older is foldable across it.
-    delta_base = token.counter + 1;
-  } else {
-    IndexDelta delta;
-    delta.seq = token.counter;
-    delta.prev_log_head = state.freshness.log_head;
-    delta.log_head = log_head;
-    delta.ops = state.pending_delta;
-    auto env = SignedEnvelope::sign(signing_key_, delta.to_bytes());
-    auto bytes = env.to_bytes();
-    // Delta names are keyed by the GLOBAL freshness counter, so a lost CAS
-    // race (or a crashed predecessor's orphan) can leave a different payload
-    // under d<seq>. A plain put is still safe: the committed manifest pins
-    // its own delta by hash and chains the rest through the op-log heads, so
-    // a client folding a clobbered delta falls back to a snapshot — it can
-    // never fold the wrong ops silently.
-    with_retries([&] {
-      cloud_.put(delta_path(gid, delta.seq), bytes);
-      return 0;
-    });
-    delta_hash = content_hash(bytes);
-    if (delta_base == 0) delta_base = token.counter;  // first-ever delta
+  const bool genesis = state.head_delta.empty();
+  std::uint64_t delta_base = genesis ? token.counter : state.delta_base;
+  if (!config_.log_operations) {
     std::uint64_t window = std::max<std::uint64_t>(config_.delta_window, 1);
-    if (token.counter >= delta_base && token.counter - delta_base + 1 > window) {
+    if (token.counter - delta_base + 1 > window) {
       delta_base = token.counter + 1 - window;
     }
   }
+  // The committed manifest's delta leaves it now: copy it out under its own
+  // name. Every writer copies the same committed bytes, so a losing or
+  // crashed attempt cannot leave a foreign payload under a delta's name.
+  if (!genesis && state.freshness.counter >= delta_base) {
+    with_retries([&] {
+      cloud_.put(delta_path(gid, state.freshness.counter), state.head_delta);
+      return 0;
+    });
+  }
 
   GroupManifest m = build_manifest(state);
-  m.log_head = log_head;
   m.freshness = token;
   m.delta_base = delta_base;
-  m.delta_hash = delta_hash;
+  m.delta = delta_env;
   auto env = SignedEnvelope::sign(signing_key_, m.to_bytes());
   auto bytes = env.to_bytes();
 
@@ -244,7 +233,8 @@ bool AdminApi::push_index(const GroupId& gid, GroupState& state,
     state.index_version = version;
     state.freshness = token;
     state.delta_base = delta_base;
-    if (!barrier) stats_.deltas_published++;
+    state.head_delta = std::move(delta_env);
+    if (!delta.is_snapshot()) stats_.deltas_published++;
     state.pending_delta.clear();
     // Only now does the counter become the platform's confirmed floor; any
     // manifest attested below it is henceforth provably rolled back.
@@ -287,7 +277,7 @@ void AdminApi::check_index_freshness(const GroupId& gid,
     throw util::IntegrityError(
         "sync_from_cloud: manifest freshness token signature invalid");
   }
-  if (m.freshness.gk_epoch != m.gk_epoch || m.freshness.log_head != m.log_head) {
+  if (!m.token_binds()) {
     throw util::IntegrityError(
         "sync_from_cloud: freshness token does not bind this manifest");
   }
@@ -320,55 +310,6 @@ void AdminApi::publish_freshness_gossip(const GroupId& gid,
   }
 }
 
-AdminApi::LogHead AdminApi::publish_log_entry(const GroupId& gid, LogOp op,
-                                              const std::string& subject) {
-  if (!config_.log_operations) return LogHead{};
-  // CAS-merge: rebase our entry onto whatever head the cloud holds, so
-  // concurrent administrators' entries are merged instead of overwritten
-  // (the seed's last-writer-wins put lost them).
-  std::optional<LogHead> attempted;
-  for (int i = 0; i < max_log_publish_attempts; ++i) {
-    std::optional<cloud::CloudStore::Versioned> raw;
-    try {
-      raw = with_retries([&] { return cloud_.get_versioned(oplog_path(gid)); });
-    } catch (const cloud::TransientError&) {
-      continue;
-    }
-    MembershipLog remote;
-    std::uint64_t version = 0;
-    if (raw) {
-      remote = MembershipLog::from_bytes(raw->value);
-      version = raw->version;
-    }
-    if (attempted) {
-      // An earlier put_cas erred ambiguously; if our entry is already on the
-      // cloud the write landed and we must not append it twice.
-      for (const auto& e : remote.entries()) {
-        if (e.hash == *attempted) {
-          logs_[gid] = std::move(remote);
-          return *attempted;
-        }
-      }
-    }
-    remote.append(op, subject, config_.admin_name, signing_key_);
-    attempted = remote.entries().back().hash;
-    auto bytes = remote.to_bytes();
-    std::optional<std::uint64_t> result;
-    try {
-      result = with_retries(
-          [&] { return cloud_.put_cas(oplog_path(gid), bytes, version); });
-    } catch (const cloud::TransientError&) {
-      continue;  // ambiguous: the next fetch resolves whether it applied
-    }
-    if (result) {
-      logs_[gid] = std::move(remote);
-      return *attempted;
-    }
-    ++stats_.cas_conflicts;
-  }
-  throw std::runtime_error("AdminApi: persistent op-log contention on " + gid);
-}
-
 bool AdminApi::verify_envelope(const SignedEnvelope& env) const {
   if (env.verify(signing_key_.public_key())) return true;
   for (const auto& key_bytes : config_.peer_verification_keys) {
@@ -383,20 +324,13 @@ bool AdminApi::verify_envelope(const SignedEnvelope& env) const {
 
 void AdminApi::gc_group(const GroupId& gid, const GroupState& state) {
   std::vector<std::string> live;
-  live.reserve(state.shards.size() + state.overlays.size() +
-               config_.delta_window + 2);
+  live.reserve(state.shards.size() + state.overlays.size() + 2);
   for (const auto& sh : state.shards) live.push_back(shard_path(gid, sh.sid));
   live.push_back(cipher_bundle_path(gid, state.cipher_set));
   for (const auto& [pid, oid] : state.overlays) {
     live.push_back(cipher_overlay_path(gid, oid));
   }
   live.push_back(sealed_gk_path(gid, state.gk_epoch));
-  if (state.delta_base > 0) {
-    for (std::uint64_t seq = state.delta_base; seq <= state.freshness.counter;
-         ++seq) {
-      live.push_back(delta_path(gid, seq));
-    }
-  }
 
   std::vector<std::string> files;
   try {
@@ -407,15 +341,23 @@ void AdminApi::gc_group(const GroupId& gid, const GroupState& state) {
   const std::string dir = group_dir(gid) + "/";
   for (const auto& path : files) {
     const std::string name = path.substr(dir.size());
-    // parse_numbered (not a raw prefix compare) keeps "oplog" and "index"
-    // out of the sweep: their non-digit tails fail the parse.
-    bool sweepable = parse_numbered(name, "s", "").has_value() ||
-                     parse_numbered(name, "c", "").has_value() ||
-                     parse_numbered(name, "o", "").has_value() ||
-                     parse_numbered(name, "d", "").has_value() ||
-                     parse_numbered(name, "gk", ".sealed").has_value();
-    if (!sweepable) continue;
-    if (std::find(live.begin(), live.end(), path) != live.end()) continue;
+    bool sweep = false;
+    if (auto seq = parse_numbered(name, "d", "")) {
+      // Every delta file holds committed bytes; only the retention window
+      // decides its fate, and the audit log keeps them all.
+      sweep = !config_.log_operations && *seq < state.delta_base;
+    } else {
+      std::optional<std::uint64_t> id = parse_numbered(name, "s", "");
+      if (!id) id = parse_numbered(name, "c", "");
+      if (!id) id = parse_numbered(name, "o", "");
+      if (!id) id = parse_numbered(name, "gk", ".sealed");
+      // Only this admin's own objects: a peer's unreferenced ones may be the
+      // shadow files of its in-flight commit.
+      sweep = id &&
+              static_cast<std::uint32_t>(*id >> 32) == config_.admin_nonce &&
+              std::find(live.begin(), live.end(), path) == live.end();
+    }
+    if (!sweep) continue;
     try {
       with_retries([&] {
         cloud_.erase(path);
@@ -465,6 +407,7 @@ void AdminApi::sync_from_cloud(const GroupId& gid) {
   state.cipher_set = manifest.cipher_set;
   state.overlays = manifest.overlays;
   state.delta_base = manifest.delta_base;
+  state.head_delta = manifest.delta;
 
   for (const auto& ref : manifest.shards) {
     auto raw = with_retries([&] { return cloud_.get(shard_path(gid, ref.sid)); });
@@ -593,7 +536,6 @@ bool AdminApi::recover(const GroupId& gid) {
       }
     }
     cache_.erase(gid);
-    logs_.erase(gid);
     return false;
   }
 
@@ -640,28 +582,16 @@ bool AdminApi::recover(const GroupId& gid) {
   // Re-announce the committed freshness: a crash between the CAS and the
   // gossip put would otherwise leave the hint channel a commit behind.
   publish_freshness_gossip(gid, state.freshness);
-
-  if (config_.log_operations) {
-    try {
-      auto raw = with_retries([&] { return cloud_.get(oplog_path(gid)); });
-      if (raw) logs_[gid] = MembershipLog::from_bytes(*raw);
-    } catch (const cloud::TransientError&) {
-      // cache refresh only; the next publish re-fetches anyway
-    }
-  }
   return true;
 }
 
 template <typename Op>
-AdminApi::OpOutcome AdminApi::mutate_with_retry(const GroupId& gid, LogOp logop,
-                                                const std::string& subject,
-                                                Op&& op) {
-  std::optional<LogHead> staged;
+AdminApi::OpOutcome AdminApi::mutate_with_retry(const GroupId& gid, Op&& op) {
   for (int attempt = 0;; ++attempt) {
     GroupState& state = state_of(gid);
     // A re-run after a CAS conflict restages its delta ops from scratch.
     state.pending_delta.clear();
-    OpOutcome outcome = op(state, staged);
+    OpOutcome outcome = op(state);
     if (outcome == OpOutcome::rebuilt) return outcome;
     if (outcome == OpOutcome::noop) {
       // Nothing to publish, but an earlier conflicted attempt (or a crashed
@@ -669,8 +599,7 @@ AdminApi::OpOutcome AdminApi::mutate_with_retry(const GroupId& gid, LogOp logop,
       gc_group(gid, state);
       return outcome;
     }
-    if (!staged) staged = publish_log_entry(gid, logop, subject);
-    if (push_index(gid, state, *staged)) {
+    if (push_index(gid, state)) {
       gc_group(gid, state);
       return outcome;
     }
@@ -685,24 +614,32 @@ AdminApi::OpOutcome AdminApi::mutate_with_retry(const GroupId& gid, LogOp logop,
   }
 }
 
-const MembershipLog& AdminApi::log_of(const GroupId& gid) const {
-  static const MembershipLog empty;
-  auto it = logs_.find(gid);
-  return it == logs_.end() ? empty : it->second;
-}
-
-MembershipLog::AuditResult AdminApi::audit_group_log(const GroupId& gid) const {
+LogAudit AdminApi::audit_group_log(const GroupId& gid) const {
   // stats_ is not updated here (const audit path): use the bare retry helper.
   auto fetch = [&](const std::string& path) {
     return util::retry_faults(config_.retry, [&] { return cloud_.get(path); });
   };
-  auto raw = fetch(oplog_path(gid));
-  if (!raw) return {false, "no op-log stored for group", 0};
-  MembershipLog log;
+  auto raw_index = fetch(index_path(gid));
+  if (!raw_index) return {false, "no manifest stored for group", 0};
+  GroupManifest m;
   try {
-    log = MembershipLog::from_bytes(*raw);
+    auto env = SignedEnvelope::from_bytes(*raw_index);
+    if (!verify_envelope(env)) {
+      return {false, "manifest signature not trusted", 0};
+    }
+    m = GroupManifest::from_bytes(env.payload);
   } catch (const util::DeserializeError&) {
-    return {false, "op-log blob corrupted", 0};
+    return {false, "manifest corrupted", 0};
+  }
+  // The token binds the chain head to a platform counter: a WHOLESALE
+  // rollback to an old manifest (with its perfectly valid, shorter chain) is
+  // caught by the floor, and a spliced or truncated chain by the walk below.
+  if (!m.freshness.verify(enclave_.freshness_verification_key(), gid) ||
+      !m.token_binds()) {
+    return {false, "manifest freshness attestation invalid", 0};
+  }
+  if (m.freshness.counter < enclave_.ecall_freshness_floor(gid)) {
+    return {false, "rolled-back manifest (freshness below enclave floor)", 0};
   }
 
   std::vector<ec::P256Point> keys;
@@ -714,49 +651,27 @@ MembershipLog::AuditResult AdminApi::audit_group_log(const GroupId& gid) const {
       // malformed configured key: skip
     }
   }
-
-  // Anchor on the committed manifest's log head so a rolled-back suffix — a
-  // perfectly valid shorter chain — is still caught; check the manifest's
-  // freshness token against the enclave floor so a WHOLESALE rollback of a
-  // consistent old manifest+log pair (which the anchor alone cannot see) is
-  // caught too.
-  LogHead anchor{};
-  const LogHead* anchor_ptr = nullptr;
-  if (auto raw_index = fetch(index_path(gid))) {
-    try {
-      auto env = SignedEnvelope::from_bytes(*raw_index);
-      if (verify_envelope(env)) {
-        GroupManifest m = GroupManifest::from_bytes(env.payload);
-        if (!m.freshness.verify(enclave_.freshness_verification_key(), gid) ||
-            m.freshness.gk_epoch != m.gk_epoch ||
-            m.freshness.log_head != m.log_head) {
-          return {false, "manifest freshness attestation invalid", 0};
-        }
-        if (m.freshness.counter < enclave_.ecall_freshness_floor(gid)) {
-          return {false,
-                  "rolled-back manifest+log pair (freshness below enclave floor)",
-                  0};
-        }
-        anchor = m.log_head;
-        anchor_ptr = &anchor;
-      }
-    } catch (const util::DeserializeError&) {
-      // unanchored audit is still better than no audit
-    }
-  }
-  return log.audit(keys, anchor_ptr);
+  const std::uint64_t head_seq = m.freshness.counter;
+  return audit_delta_chain(
+      head_seq, m.freshness.log_head,
+      [&](std::uint64_t seq) -> std::optional<util::Bytes> {
+        if (seq == head_seq) return m.delta;
+        return fetch(delta_path(gid, seq));
+      },
+      keys);
 }
 
 void AdminApi::create_group(const GroupId& gid,
                             std::span<const Identity> members) {
-  create_group_sized(gid, members, config_.partition_size, LogOp::create_group,
+  create_group_sized(gid, members, config_.partition_size, {},
                      "members=" + std::to_string(members.size()));
 }
 
 void AdminApi::create_group_sized(const GroupId& gid,
                                   std::span<const Identity> members,
-                                  std::size_t partition_size, LogOp logop,
-                                  const std::string& subject) {
+                                  std::size_t partition_size,
+                                  std::vector<DeltaOp> ops,
+                                  const std::string& summary) {
   if (members.empty()) {
     throw std::invalid_argument("create_group: need at least one member");
   }
@@ -768,7 +683,11 @@ void AdminApi::create_group_sized(const GroupId& gid,
     state.epoch_counter = it->second.epoch_counter;
     state.object_counter = it->second.object_counter;
     state.index_version = it->second.index_version;
-    state.freshness = it->second.freshness;  // floor for the next attestation
+    // The chain continues across the barrier: the floor for the next
+    // attestation, and the head the snapshot delta links onto.
+    state.freshness = it->second.freshness;
+    state.delta_base = it->second.delta_base;
+    state.head_delta = it->second.head_delta;
   }
 
   // Algorithm 1, line 1: fixed-size partitions.
@@ -782,8 +701,8 @@ void AdminApi::create_group_sized(const GroupId& gid,
   // Lines 2-6 run inside the enclave.
   auto creation = enclave_.ecall_create_group(partitions);
 
-  // Line 7: persist everything — shards, cipher bundle, sealed gk, log entry
-  // — all under fresh names, all BEFORE the manifest CAS commits them.
+  // Line 7: persist everything — shards, cipher bundle, sealed gk — under
+  // fresh names, all BEFORE the manifest CAS commits them.
   state.sealed_gk = creation.sealed_gk;
   state.gk_epoch = fresh_gk_epoch(state);
   state.shard_partition_target =
@@ -805,9 +724,12 @@ void AdminApi::create_group_sized(const GroupId& gid,
   }
   write_bundle(gid, state);
   push_sealed_gk(gid, state);
-  LogHead head = publish_log_entry(gid, logop, subject);
-  // pending_delta is empty: the creation commits as a snapshot barrier.
-  if (!push_index(gid, state, head)) {
+  DeltaOp snapshot;
+  snapshot.kind = DeltaOp::Kind::snapshot;
+  snapshot.user = summary;
+  ops.push_back(std::move(snapshot));
+  state.pending_delta = std::move(ops);
+  if (!push_index(gid, state)) {
     throw std::runtime_error("create_group: concurrent modification of " + gid);
   }
 
@@ -821,56 +743,54 @@ void AdminApi::create_group_sized(const GroupId& gid,
 
 void AdminApi::add_user(const GroupId& gid, const Identity& id) {
   bool created_partition = false;
-  auto outcome = mutate_with_retry(
-      gid, LogOp::add_user, id,
-      [&](GroupState& state, std::optional<LogHead>&) {
-        created_partition = false;
-        if (state.member_of.count(id)) return OpOutcome::noop;
+  auto outcome = mutate_with_retry(gid, [&](GroupState& state) {
+    created_partition = false;
+    if (state.member_of.count(id)) return OpOutcome::noop;
 
-        // Algorithm 2, line 1: partitions with spare capacity.
-        std::vector<std::size_t> open;
-        for (std::size_t p = 0; p < state.partitions.size(); ++p) {
-          if (state.partitions[p].members.size() < state.target_partition_size) {
-            open.push_back(p);
-          }
-        }
+    // Algorithm 2, line 1: partitions with spare capacity.
+    std::vector<std::size_t> open;
+    for (std::size_t p = 0; p < state.partitions.size(); ++p) {
+      if (state.partitions[p].members.size() < state.target_partition_size) {
+        open.push_back(p);
+      }
+    }
 
-        PartitionId pid;
-        std::size_t shard;
-        if (open.empty()) {
-          // Lines 3-7: new partition wrapping the existing gk.
-          Partition rec;
-          rec.id = fresh_partition_id(state);
-          rec.members = {id};
-          rec.cipher =
-              enclave_.ecall_create_partition(rec.members, state.sealed_gk);
-          pid = rec.id;
-          shard = assign_to_shard(state, pid);
-          state.partitions.push_back(std::move(rec));
-          created_partition = true;
-        } else {
-          // Lines 9-12: random open partition; O(1) ciphertext extension; the
-          // wrapped key y_p is untouched. The partition keeps its stable id —
-          // immutability lives in the shard/overlay objects rewritten below.
-          auto& rec = state.partitions[open[rng_.uniform(open.size())]];
-          rec.cipher.ct = enclave_.ecall_add_user_to_partition(rec.cipher.ct, id);
-          rec.members.push_back(id);
-          pid = rec.id;
-          shard = shard_index_of(state, pid);
-        }
-        state.member_of.emplace(id, pid);
+    PartitionId pid;
+    std::size_t shard;
+    if (open.empty()) {
+      // Lines 3-7: new partition wrapping the existing gk.
+      Partition rec;
+      rec.id = fresh_partition_id(state);
+      rec.members = {id};
+      rec.cipher =
+          enclave_.ecall_create_partition(rec.members, state.sealed_gk);
+      pid = rec.id;
+      shard = assign_to_shard(state, pid);
+      state.partitions.push_back(std::move(rec));
+      created_partition = true;
+    } else {
+      // Lines 9-12: random open partition; O(1) ciphertext extension; the
+      // wrapped key y_p is untouched. The partition keeps its stable id —
+      // immutability lives in the shard/overlay objects rewritten below.
+      auto& rec = state.partitions[open[rng_.uniform(open.size())]];
+      rec.cipher.ct = enclave_.ecall_add_user_to_partition(rec.cipher.ct, id);
+      rec.members.push_back(id);
+      pid = rec.id;
+      shard = shard_index_of(state, pid);
+    }
+    state.member_of.emplace(id, pid);
 
-        // O(1) objects regardless of group size: one overlay, one shard, the
-        // delta + op-log entry + manifest that push_index publishes.
-        write_overlay(gid, state, pid);
-        rewrite_shard(gid, state, shard);
-        DeltaOp op;
-        op.kind = DeltaOp::Kind::add_member;
-        op.user = id;
-        op.pid = pid;
-        state.pending_delta.push_back(std::move(op));
-        return OpOutcome::published;
-      });
+    // O(1) objects regardless of group size: one overlay, one shard, the
+    // previous delta + manifest that push_index publishes.
+    write_overlay(gid, state, pid);
+    rewrite_shard(gid, state, shard);
+    DeltaOp op;
+    op.kind = DeltaOp::Kind::add_member;
+    op.user = id;
+    op.pid = pid;
+    state.pending_delta.push_back(std::move(op));
+    return OpOutcome::published;
+  });
 
   if (outcome == OpOutcome::noop) return;
   stats_.users_added++;
@@ -879,84 +799,81 @@ void AdminApi::add_user(const GroupId& gid, const Identity& id) {
 }
 
 void AdminApi::remove_user(const GroupId& gid, const Identity& id) {
-  auto outcome = mutate_with_retry(
-      gid, LogOp::remove_user, id,
-      [&](GroupState& state, std::optional<LogHead>& staged) {
-        // Locate the hosting partition (Algorithm 3, line 1) — O(1) now.
-        auto mit = state.member_of.find(id);
-        if (mit == state.member_of.end()) return OpOutcome::noop;
-        const PartitionId host_pid = mit->second;
-        std::size_t host = partition_index(state, host_pid);
+  auto outcome = mutate_with_retry(gid, [&](GroupState& state) {
+    // Locate the hosting partition (Algorithm 3, line 1) — O(1) now.
+    auto mit = state.member_of.find(id);
+    if (mit == state.member_of.end()) return OpOutcome::noop;
+    const PartitionId host_pid = mit->second;
+    std::size_t host = partition_index(state, host_pid);
 
-        // Lines 3-9 run inside the enclave: O(1) removal on the host,
-        // constant time re-key everywhere else, fresh gk wrapped under every
-        // partition.
-        std::vector<core::BroadcastCiphertext> others;
-        others.reserve(state.partitions.size() - 1);
-        for (std::size_t p = 0; p < state.partitions.size(); ++p) {
-          if (p != host) others.push_back(state.partitions[p].cipher.ct);
-        }
-        auto result = enclave_.ecall_remove_user(state.partitions[host].cipher.ct,
-                                                 others, id);
-        state.sealed_gk = result.sealed_gk;
-        state.gk_epoch = fresh_gk_epoch(state);
+    // Lines 3-9 run inside the enclave: O(1) removal on the host,
+    // constant time re-key everywhere else, fresh gk wrapped under every
+    // partition.
+    std::vector<core::BroadcastCiphertext> others;
+    others.reserve(state.partitions.size() - 1);
+    for (std::size_t p = 0; p < state.partitions.size(); ++p) {
+      if (p != host) others.push_back(state.partitions[p].cipher.ct);
+    }
+    auto result = enclave_.ecall_remove_user(state.partitions[host].cipher.ct,
+                                             others, id);
+    state.sealed_gk = result.sealed_gk;
+    state.gk_epoch = fresh_gk_epoch(state);
 
-        // Apply results: index 0 is the host, the rest follow input order.
-        auto& host_rec = state.partitions[host];
-        host_rec.members.erase(
-            std::find(host_rec.members.begin(), host_rec.members.end(), id));
-        host_rec.cipher = std::move(result.partitions[0]);
-        std::size_t out = 1;
-        for (std::size_t p = 0; p < state.partitions.size(); ++p) {
-          if (p != host) {
-            state.partitions[p].cipher = std::move(result.partitions[out++]);
-          }
-        }
-        state.member_of.erase(mit);
-        DeltaOp op;
-        op.kind = DeltaOp::Kind::remove_member;
-        op.user = id;
-        op.pid = host_pid;
-        state.pending_delta.push_back(std::move(op));
+    // Apply results: index 0 is the host, the rest follow input order.
+    auto& host_rec = state.partitions[host];
+    host_rec.members.erase(
+        std::find(host_rec.members.begin(), host_rec.members.end(), id));
+    host_rec.cipher = std::move(result.partitions[0]);
+    std::size_t out = 1;
+    for (std::size_t p = 0; p < state.partitions.size(); ++p) {
+      if (p != host) {
+        state.partitions[p].cipher = std::move(result.partitions[out++]);
+      }
+    }
+    state.member_of.erase(mit);
+    DeltaOp op;
+    op.kind = DeltaOp::Kind::remove_member;
+    op.user = id;
+    op.pid = host_pid;
+    state.pending_delta.push_back(std::move(op));
 
-        // An emptied partition just leaves the index; its shard entry goes
-        // with it (and an emptied shard drops out of the manifest — the old
-        // file is swept by the post-commit GC).
-        std::size_t host_shard = shard_index_of(state, host_pid);
-        bool host_shard_alive = true;
-        if (host_rec.members.empty()) {
-          state.partitions.erase(state.partitions.begin() +
-                                 static_cast<std::ptrdiff_t>(host));
-          auto& pids = state.shards[host_shard].pids;
-          pids.erase(std::find(pids.begin(), pids.end(), host_pid));
-          if (pids.empty()) {
-            state.shards.erase(state.shards.begin() +
-                               static_cast<std::ptrdiff_t>(host_shard));
-            host_shard_alive = false;
-          }
-        }
+    // An emptied partition just leaves the index; its shard entry goes
+    // with it (and an emptied shard drops out of the manifest — the old
+    // file is swept by the post-commit GC).
+    std::size_t host_shard = shard_index_of(state, host_pid);
+    bool host_shard_alive = true;
+    if (host_rec.members.empty()) {
+      state.partitions.erase(state.partitions.begin() +
+                             static_cast<std::ptrdiff_t>(host));
+      auto& pids = state.shards[host_shard].pids;
+      pids.erase(std::find(pids.begin(), pids.end(), host_pid));
+      if (pids.empty()) {
+        state.shards.erase(state.shards.begin() +
+                           static_cast<std::ptrdiff_t>(host_shard));
+        host_shard_alive = false;
+      }
+    }
 
-        // The global §V-A heuristic first (a full rebuild subsumes any
-        // shard-local one), then the same rule scoped to the host shard.
-        if (!state.partitions.empty() && config_.repartitioning &&
-            should_repartition(state)) {
-          // The rebuild commits on its own; our log entry must precede its
-          // repartition entry on the cloud.
-          if (!staged) staged = publish_log_entry(gid, LogOp::remove_user, id);
-          rebuild_group(gid, state);
-          return OpOutcome::rebuilt;
-        }
-        if (host_shard_alive && config_.repartitioning &&
-            shard_should_repartition(state, state.shards[host_shard])) {
-          repartition_shard(state, host_shard);
-        }
-        if (host_shard_alive) rewrite_shard(gid, state, host_shard);
-        // Every partition's ciphertext changed, but they travel as ONE
-        // rotated bundle: the revocation stays O(1) uploaded objects.
-        write_bundle(gid, state);
-        push_sealed_gk(gid, state);
-        return OpOutcome::published;
-      });
+    // The global §V-A heuristic first (a full rebuild subsumes any
+    // shard-local one), then the same rule scoped to the host shard.
+    if (!state.partitions.empty() && config_.repartitioning &&
+        should_repartition(state)) {
+      // The rebuild commits on its own, recording the staged removal in
+      // its snapshot delta.
+      rebuild_group(gid, state);
+      return OpOutcome::rebuilt;
+    }
+    if (host_shard_alive && config_.repartitioning &&
+        shard_should_repartition(state, state.shards[host_shard])) {
+      repartition_shard(state, host_shard);
+    }
+    if (host_shard_alive) rewrite_shard(gid, state, host_shard);
+    // Every partition's ciphertext changed, but they travel as ONE
+    // rotated bundle: the revocation stays O(1) uploaded objects.
+    write_bundle(gid, state);
+    push_sealed_gk(gid, state);
+    return OpOutcome::published;
+  });
 
   if (outcome == OpOutcome::noop) return;
   stats_.users_removed++;
@@ -969,117 +886,109 @@ void AdminApi::add_users(const GroupId& gid, std::span<const Identity> ids) {
 
 void AdminApi::remove_users(const GroupId& gid, std::span<const Identity> ids) {
   std::size_t removed_count = 0;
-  // The lambda rewrites this before mutate_with_retry publishes the entry.
-  std::string subject = "batch=0";
-  auto outcome = mutate_with_retry(
-      gid, LogOp::remove_user, subject,
-      [&](GroupState& state, std::optional<LogHead>& staged) {
-        removed_count = 0;
-        // Group the batch by hosting partition; silently skip non-members.
-        std::map<std::size_t, std::vector<Identity>> by_partition;
-        for (const auto& id : ids) {
-          auto mit = state.member_of.find(id);
-          if (mit == state.member_of.end()) continue;
-          by_partition[partition_index(state, mit->second)].push_back(id);
-        }
-        if (by_partition.empty()) return OpOutcome::noop;
+  auto outcome = mutate_with_retry(gid, [&](GroupState& state) {
+    removed_count = 0;
+    // Group the batch by hosting partition; silently skip non-members.
+    std::map<std::size_t, std::vector<Identity>> by_partition;
+    for (const auto& id : ids) {
+      auto mit = state.member_of.find(id);
+      if (mit == state.member_of.end()) continue;
+      by_partition[partition_index(state, mit->second)].push_back(id);
+    }
+    if (by_partition.empty()) return OpOutcome::noop;
 
-        std::vector<enclave::IbbeEnclave::BatchRemovalSpec> hosts;
-        std::vector<std::size_t> host_indices;
-        std::vector<core::BroadcastCiphertext> others;
-        std::vector<std::size_t> other_indices;
-        for (std::size_t p = 0; p < state.partitions.size(); ++p) {
-          auto it = by_partition.find(p);
-          if (it != by_partition.end()) {
-            hosts.push_back({state.partitions[p].cipher.ct, it->second});
-            host_indices.push_back(p);
-          } else {
-            others.push_back(state.partitions[p].cipher.ct);
-            other_indices.push_back(p);
-          }
-        }
+    std::vector<enclave::IbbeEnclave::BatchRemovalSpec> hosts;
+    std::vector<std::size_t> host_indices;
+    std::vector<core::BroadcastCiphertext> others;
+    std::vector<std::size_t> other_indices;
+    for (std::size_t p = 0; p < state.partitions.size(); ++p) {
+      auto it = by_partition.find(p);
+      if (it != by_partition.end()) {
+        hosts.push_back({state.partitions[p].cipher.ct, it->second});
+        host_indices.push_back(p);
+      } else {
+        others.push_back(state.partitions[p].cipher.ct);
+        other_indices.push_back(p);
+      }
+    }
 
-        auto result = enclave_.ecall_remove_users(hosts, others);
-        state.sealed_gk = result.sealed_gk;
-        state.gk_epoch = fresh_gk_epoch(state);
+    auto result = enclave_.ecall_remove_users(hosts, others);
+    state.sealed_gk = result.sealed_gk;
+    state.gk_epoch = fresh_gk_epoch(state);
 
-        // Track which shards lose members; sids are stable until the final
-        // rewrite, so they key the dirty set safely across erasures below.
-        std::vector<std::uint64_t> dirty_sids;
-        auto mark_dirty = [&](PartitionId pid) {
-          auto sid = state.shards[shard_index_of(state, pid)].sid;
-          if (std::find(dirty_sids.begin(), dirty_sids.end(), sid) ==
-              dirty_sids.end()) {
-            dirty_sids.push_back(sid);
-          }
-        };
+    // Track which shards lose members; sids are stable until the final
+    // rewrite, so they key the dirty set safely across erasures below.
+    std::vector<std::uint64_t> dirty_sids;
+    auto mark_dirty = [&](PartitionId pid) {
+      auto sid = state.shards[shard_index_of(state, pid)].sid;
+      if (std::find(dirty_sids.begin(), dirty_sids.end(), sid) ==
+          dirty_sids.end()) {
+        dirty_sids.push_back(sid);
+      }
+    };
 
-        // Enclave output order: hosts first, then the others.
-        for (std::size_t h = 0; h < host_indices.size(); ++h) {
-          auto& rec = state.partitions[host_indices[h]];
-          rec.cipher = std::move(result.partitions[h]);
-          mark_dirty(rec.id);
-          for (const auto& id : by_partition[host_indices[h]]) {
-            rec.members.erase(
-                std::find(rec.members.begin(), rec.members.end(), id));
-            state.member_of.erase(id);
-            DeltaOp op;
-            op.kind = DeltaOp::Kind::remove_member;
-            op.user = id;
-            op.pid = rec.id;
-            state.pending_delta.push_back(std::move(op));
-          }
-          removed_count += by_partition[host_indices[h]].size();
-        }
-        for (std::size_t o = 0; o < other_indices.size(); ++o) {
-          state.partitions[other_indices[o]].cipher =
-              std::move(result.partitions[hosts.size() + o]);
-        }
+    // Enclave output order: hosts first, then the others.
+    for (std::size_t h = 0; h < host_indices.size(); ++h) {
+      auto& rec = state.partitions[host_indices[h]];
+      rec.cipher = std::move(result.partitions[h]);
+      mark_dirty(rec.id);
+      for (const auto& id : by_partition[host_indices[h]]) {
+        rec.members.erase(
+            std::find(rec.members.begin(), rec.members.end(), id));
+        state.member_of.erase(id);
+        DeltaOp op;
+        op.kind = DeltaOp::Kind::remove_member;
+        op.user = id;
+        op.pid = rec.id;
+        state.pending_delta.push_back(std::move(op));
+      }
+      removed_count += by_partition[host_indices[h]].size();
+    }
+    for (std::size_t o = 0; o < other_indices.size(); ++o) {
+      state.partitions[other_indices[o]].cipher =
+          std::move(result.partitions[hosts.size() + o]);
+    }
 
-        // Drop emptied partitions, largest offset first; the shard files
-        // themselves are swept post-commit.
-        for (std::size_t p = state.partitions.size(); p-- > 0;) {
-          if (!state.partitions[p].members.empty()) continue;
-          const PartitionId pid = state.partitions[p].id;
-          std::size_t s = shard_index_of(state, pid);
-          auto& pids = state.shards[s].pids;
-          pids.erase(std::find(pids.begin(), pids.end(), pid));
-          if (pids.empty()) {
-            auto sid = state.shards[s].sid;
-            dirty_sids.erase(
-                std::remove(dirty_sids.begin(), dirty_sids.end(), sid),
-                dirty_sids.end());
-            state.shards.erase(state.shards.begin() +
-                               static_cast<std::ptrdiff_t>(s));
-          }
-          state.partitions.erase(state.partitions.begin() +
-                                 static_cast<std::ptrdiff_t>(p));
-        }
+    // Drop emptied partitions, largest offset first; the shard files
+    // themselves are swept post-commit.
+    for (std::size_t p = state.partitions.size(); p-- > 0;) {
+      if (!state.partitions[p].members.empty()) continue;
+      const PartitionId pid = state.partitions[p].id;
+      std::size_t s = shard_index_of(state, pid);
+      auto& pids = state.shards[s].pids;
+      pids.erase(std::find(pids.begin(), pids.end(), pid));
+      if (pids.empty()) {
+        auto sid = state.shards[s].sid;
+        dirty_sids.erase(
+            std::remove(dirty_sids.begin(), dirty_sids.end(), sid),
+            dirty_sids.end());
+        state.shards.erase(state.shards.begin() +
+                           static_cast<std::ptrdiff_t>(s));
+      }
+      state.partitions.erase(state.partitions.begin() +
+                             static_cast<std::ptrdiff_t>(p));
+    }
 
-        subject = "batch=" + std::to_string(removed_count);
-        if (!state.partitions.empty() && config_.repartitioning &&
-            should_repartition(state)) {
-          if (!staged) {
-            staged = publish_log_entry(gid, LogOp::remove_user, subject);
-          }
-          rebuild_group(gid, state);
-          return OpOutcome::rebuilt;
-        }
-        for (std::size_t s = 0; s < state.shards.size(); ++s) {
-          if (std::find(dirty_sids.begin(), dirty_sids.end(),
-                        state.shards[s].sid) == dirty_sids.end()) {
-            continue;
-          }
-          if (config_.repartitioning &&
-              shard_should_repartition(state, state.shards[s])) {
-            repartition_shard(state, s);
-          }
-          rewrite_shard(gid, state, s);
-        }
-        write_bundle(gid, state);
-        push_sealed_gk(gid, state);
-        return OpOutcome::published;
-      });
+    if (!state.partitions.empty() && config_.repartitioning &&
+        should_repartition(state)) {
+      rebuild_group(gid, state);
+      return OpOutcome::rebuilt;
+    }
+    for (std::size_t s = 0; s < state.shards.size(); ++s) {
+      if (std::find(dirty_sids.begin(), dirty_sids.end(),
+                    state.shards[s].sid) == dirty_sids.end()) {
+        continue;
+      }
+      if (config_.repartitioning &&
+          shard_should_repartition(state, state.shards[s])) {
+        repartition_shard(state, s);
+      }
+      rewrite_shard(gid, state, s);
+    }
+    write_bundle(gid, state);
+    push_sealed_gk(gid, state);
+    return OpOutcome::published;
+  });
 
   if (outcome == OpOutcome::noop) return;
   stats_.users_removed += removed_count;
@@ -1168,7 +1077,7 @@ void AdminApi::rebuild_group(const GroupId& gid, GroupState& state) {
   // and sweeping this generation's files afterwards); adjust counters to not
   // double-count the group itself.
   stats_.groups_created--;
-  create_group_sized(gid, all, new_size, LogOp::repartition,
+  create_group_sized(gid, all, new_size, std::move(state.pending_delta),
                      "partition_size=" + std::to_string(new_size));
 }
 
@@ -1200,10 +1109,15 @@ std::size_t AdminApi::cloud_object_count(const GroupId& gid) const {
   n += state.shards.size();
   n += 1;  // cipher bundle
   n += state.overlays.size();
-  if (state.delta_base > 0 && state.freshness.counter >= state.delta_base) {
-    n += state.freshness.counter - state.delta_base + 1;
+  n += state.freshness.counter - state.delta_base;  // d<base>..d<counter-1>
+  // d<counter> rides in the manifest; a commit attempt that lost its race or
+  // crashed before its CAS may already have copied it out (committed bytes,
+  // so it is kept, not an orphan). Const path: bare retry helper.
+  if (util::retry_faults(config_.retry, [&] {
+        return cloud_.file_version(delta_path(gid, state.freshness.counter));
+      }) != 0) {
+    ++n;
   }
-  if (config_.log_operations) n += 1;
   return n;
 }
 
@@ -1235,15 +1149,14 @@ std::size_t AdminApi::metadata_size(const GroupId& gid) const {
   }
   total += build_manifest(state).to_bytes().size() + env_overhead;
   total += state.sealed_gk.to_bytes().size();  // gk<epoch>.sealed
-  // Retained deltas are not mirrored in memory; size the live window off the
-  // cloud (const path: bare retry helper, stats untouched).
-  if (state.delta_base > 0) {
-    for (std::uint64_t seq = state.delta_base; seq <= state.freshness.counter;
-         ++seq) {
-      auto raw = util::retry_faults(
-          config_.retry, [&] { return cloud_.get(delta_path(gid, seq)); });
-      if (raw) total += raw->size();
-    }
+  // Retained delta files are not mirrored in memory (the newest rides in the
+  // manifest, counted above); size them off the cloud (const path: bare
+  // retry helper, stats untouched).
+  for (std::uint64_t seq = state.delta_base; seq < state.freshness.counter;
+       ++seq) {
+    auto raw = util::retry_faults(
+        config_.retry, [&] { return cloud_.get(delta_path(gid, seq)); });
+    if (raw) total += raw->size();
   }
   return total;
 }

@@ -12,7 +12,8 @@
 //   * pushing signed metadata to the cloud store — under the sharded
 //     manifest layout a mutation touches O(1) objects: the host shard, one
 //     cipher object (an overlay for adds, the rotated bundle for removes),
-//     the signed delta, the op-log entry and the manifest;
+//     the previous commit's delta (copied out of its manifest) and the
+//     manifest carrying this commit's signed delta;
 //   * re-partitioning heuristics at two granularities: the global rule from
 //     §V-A (more than half of ALL partitions under two-thirds occupancy →
 //     full rebuild, a snapshot barrier) and the same rule applied per shard
@@ -20,18 +21,18 @@
 //     foldable by clients as a repartition delta op).
 //
 // Crash consistency (docs/fault_model.md has the full protocol): every
-// mutation is shadow-paged. Changed shards, cipher bundles/overlays and the
-// commit's signed delta are written under FRESH object ids (copy-on-write —
-// these files are immutable once written; partition ids, by contrast, are
-// stable logical names), a rotated group key is sealed under a FRESH epoch
-// path, and the op-log entry is CAS-merged in — all BEFORE the single commit
-// point, the CAS that replaces groups/<gid>/index (the manifest). Nothing is
-// erased before the commit; unreferenced files — including deltas that fell
-// out of the retention window — are swept by a post-commit garbage
-// collector, and recover() rolls a torn mutation back (manifest CAS never
-// landed) or forward (it did; finish the GC) after a crash. Transient cloud
-// errors are retried under config.retry; a cloud::CrashError is never
-// retried in place.
+// mutation is shadow-paged. Changed shards and cipher bundles/overlays are
+// written under FRESH object ids (copy-on-write — these files are immutable
+// once written; partition ids, by contrast, are stable logical names), a
+// rotated group key is sealed under a FRESH epoch path, and the previous
+// commit's delta is copied out of its manifest to d<seq> (committed bytes,
+// identical from every writer) — all BEFORE the single commit point, the CAS
+// that replaces groups/<gid>/index (the manifest). Nothing is erased before
+// the commit; this admin's unreferenced files — and deltas that fell out of
+// the retention window — are swept by a post-commit garbage collector, and
+// recover() rolls a torn mutation back (manifest CAS never landed) or
+// forward (it did; finish the GC) after a crash. Transient cloud errors are
+// retried under config.retry; a cloud::CrashError is never retried in place.
 //
 // Extensions beyond the paper's evaluation (its §VIII future work):
 //   * batch revocation: remove_users() rotates gk once per batch;
@@ -39,10 +40,10 @@
 //     re-sync and retry (config.multi_admin);
 //   * dynamic partition sizing: re-partitioning picks the size a cost model
 //     recommends for the observed workload (config.adaptive_partitioning);
-//   * a hash-chained signed membership log for auditing
-//     (config.log_operations, see oplog.h), anchored against truncation by
-//     the committed manifest's log_head field — which also chains the
-//     incremental deltas clients fold.
+//   * a hash-chained signed membership log for auditing: the delta chain
+//     itself (every commit, creation and full re-partition included, is one
+//     signed delta), whose head the enclave's freshness token binds;
+//     config.log_operations retains it from genesis for audit_group_log.
 #pragma once
 
 #include <map>
@@ -53,7 +54,6 @@
 #include "enclave/ibbe_enclave.h"
 #include "system/advisor.h"
 #include "system/metadata.h"
-#include "system/oplog.h"
 #include "util/retry.h"
 
 namespace ibbe::system {
@@ -94,9 +94,11 @@ struct AdminConfig {
   std::size_t min_partition_size = 16;
 
   // ---- audit log extension ----
-  /// Appends every membership change to a hash-chained signed log mirrored
-  /// to the cloud (oplog.h).
+  /// Retains the whole delta chain — every commit's signed delta, from the
+  /// group's genesis — so audit_group_log can walk it. Off, the garbage
+  /// collector keeps only the delta_window.
   bool log_operations = false;
+  /// Recorded in every delta this admin commits.
   std::string admin_name = "admin";
 };
 
@@ -107,7 +109,7 @@ struct AdminStats {
   std::uint64_t partitions_created = 0;
   std::uint64_t repartitions = 0;        // full (global) rebuilds
   std::uint64_t shard_repartitions = 0;  // shard-local rebuilds (delta-foldable)
-  std::uint64_t deltas_published = 0;    // incremental deltas committed
+  std::uint64_t deltas_published = 0;    // foldable (non-snapshot) deltas
   std::uint64_t cas_conflicts = 0;      // retries caused by peers (or faults)
   std::uint64_t transient_retries = 0;  // cloud round trips retried
   std::uint64_t recoveries = 0;         // recover() invocations
@@ -146,18 +148,22 @@ class AdminApi {
   /// Startup crash recovery. Returns true if the group exists (its manifest
   /// committed): the cache is rebuilt from the committed state, id/epoch
   /// counters are advanced past every id seen on the cloud (so a restarted
-  /// admin can never collide with leftovers), and orphaned shard / cipher /
-  /// delta / gk files are garbage-collected — rolling an interrupted
+  /// admin can never collide with leftovers), and this admin's orphaned
+  /// shard / cipher / gk files (and out-of-window deltas) are
+  /// garbage-collected — rolling an interrupted
   /// mutation back, or finishing the sweep of one that committed
   /// (roll-forward). Returns false if no manifest exists: a creation died
   /// before its commit point; every torn file under the group's directory is
   /// deleted.
   bool recover(const GroupId& gid);
 
-  /// Fetches the group's op-log from the cloud and audits it against this
-  /// admin's + peers' keys, anchored on the committed manifest's log_head
-  /// (so whole-suffix truncation is caught, not just splices).
-  [[nodiscard]] MembershipLog::AuditResult audit_group_log(const GroupId& gid) const;
+  /// Audits the group's membership log against this admin's + peers' keys:
+  /// verifies the committed manifest (signature, enclave freshness token,
+  /// counter not below the platform floor), then walks the delta chain back
+  /// from its attested head to genesis (audit_delta_chain), so truncation,
+  /// splices, rogue signers and withheld deltas are all caught. Needs
+  /// config.log_operations: without it the sweep removes the chain's start.
+  [[nodiscard]] LogAudit audit_group_log(const GroupId& gid) const;
 
   [[nodiscard]] bool is_member(const GroupId& gid, const core::Identity& id) const;
   [[nodiscard]] std::size_t group_size(const GroupId& gid) const;
@@ -169,9 +175,11 @@ class AdminApi {
   /// Serialized size of all of the group's cloud metadata.
   [[nodiscard]] std::size_t metadata_size(const GroupId& gid) const;
   /// Exact number of files the committed state keeps under groups/<gid>/:
-  /// manifest + sealed gk + shards + bundle + overlays + retained deltas
-  /// (+ op-log when logging). The crash-consistency tests assert the cloud
-  /// listing matches this after every recovery — no orphans, no omissions.
+  /// manifest + sealed gk + shards + bundle + overlays + the retained delta
+  /// files d<delta_base>..d<counter-1>, plus d<counter> when a commit attempt
+  /// already copied it out (probed — it holds the committed bytes). The
+  /// crash-consistency tests assert the cloud listing matches this after
+  /// every recovery — no orphans, no omissions.
   [[nodiscard]] std::size_t cloud_object_count(const GroupId& gid) const;
 
   [[nodiscard]] const AdminStats& stats() const { return stats_; }
@@ -179,9 +187,6 @@ class AdminApi {
   /// reported by the deployment (e.g. the trace replayer), since clients do
   /// not talk to the administrator on the decrypt path.
   [[nodiscard]] PartitionAdvisor& advisor() { return advisor_; }
-  /// The group's audit log (empty if log_operations is off).
-  [[nodiscard]] const MembershipLog& log_of(const GroupId& gid) const;
-
   [[nodiscard]] util::Bytes verification_key() const {
     return ec::p256_to_bytes(signing_key_.public_key());
   }
@@ -190,8 +195,6 @@ class AdminApi {
   }
 
  private:
-  using LogHead = std::array<std::uint8_t, 32>;
-
   /// In-memory partition: a STABLE id (kept across mutations — CoW
   /// immutability lives in shard/bundle/overlay object ids now), the member
   /// list, and the current ciphertext.
@@ -230,9 +233,12 @@ class AdminApi {
     // handed to the next attestation, and as the last delta's seq).
     enclave::FreshnessToken freshness;
     std::uint64_t delta_base = 0;  // earliest delta retained on the cloud
+    /// The committed manifest's delta envelope (empty before genesis); the
+    /// next commit copies it to d<freshness.counter>.
+    util::Bytes head_delta;
     /// Delta ops staged by the current mutation attempt; consumed by
-    /// push_index (empty = snapshot-barrier commit). Cleared before each
-    /// retry so a re-run after a CAS conflict restages from scratch.
+    /// push_index. Cleared before each retry so a re-run after a CAS
+    /// conflict restages from scratch.
     std::vector<DeltaOp> pending_delta;
   };
 
@@ -259,10 +265,13 @@ class AdminApi {
   /// fresh shard; returns the shard index.
   std::size_t assign_to_shard(GroupState& state, PartitionId pid);
 
+  /// Algorithm 1 at `partition_size`, committed as one snapshot-barrier
+  /// delta: `ops` (ops staged before a rebuild) followed by a snapshot op
+  /// carrying `summary`.
   void create_group_sized(const GroupId& gid,
                           std::span<const core::Identity> members,
-                          std::size_t partition_size, LogOp logop,
-                          const std::string& subject);
+                          std::size_t partition_size, std::vector<DeltaOp> ops,
+                          const std::string& summary);
   /// Serializes, signs and uploads one shard under a fresh object id;
   /// updates the shard's sid + hash in the state.
   void rewrite_shard(const GroupId& gid, GroupState& state, std::size_t shard);
@@ -272,23 +281,23 @@ class AdminApi {
   /// Uploads one partition's cipher as an overlay under a fresh id.
   void write_overlay(const GroupId& gid, GroupState& state, PartitionId pid);
   /// The commit point: CAS of the signed manifest against the cached
-  /// version. Writes the commit's signed delta first (d<counter>, pinned by
-  /// the manifest's delta_hash) unless the staged ops are empty (snapshot
-  /// barrier). The manifest carries an enclave-signed freshness token
-  /// (tentative counter); the counter is confirmed to the platform only
-  /// after the CAS lands, and the commit is announced on the gossip channel.
-  /// Detects this admin's own ambiguous commits (write applied, response
-  /// lost) by re-reading and comparing payloads; false means a real
-  /// concurrent update.
-  [[nodiscard]] bool push_index(const GroupId& gid, GroupState& state,
-                                const LogHead& log_head);
+  /// version. Signs the staged ops as this commit's delta, chained onto the
+  /// committed head, and embeds it in the manifest; first copies the
+  /// committed manifest's delta out to its d<seq> file. The manifest carries
+  /// an enclave-signed freshness token (tentative counter) binding the new
+  /// head; the counter is confirmed to the platform only after the CAS lands,
+  /// and the commit is announced on the gossip channel. Detects this admin's
+  /// own ambiguous commits (write applied, response lost) by re-reading and
+  /// comparing payloads; false means a real concurrent update.
+  [[nodiscard]] bool push_index(const GroupId& gid, GroupState& state);
   /// Builds the manifest for the current state (shards, cipher objects,
-  /// epoch, log head, freshness, delta window).
+  /// epoch, freshness, delta window, committed delta).
   [[nodiscard]] GroupManifest build_manifest(const GroupState& state) const;
   /// Verifies a synced manifest's freshness token: enclave signature,
-  /// binding to (gk_epoch, log_head), and counter not below the platform's
-  /// confirmed floor. Throws util::IntegrityError on forgery/mis-binding and
-  /// cloud::TransientError on a rolled-back (or lagging) view.
+  /// binding to (gk_epoch, embedded delta), and counter not below the
+  /// platform's confirmed floor. Throws util::IntegrityError on
+  /// forgery/mis-binding and cloud::TransientError on a rolled-back (or
+  /// lagging) view.
   void check_index_freshness(const GroupId& gid, const GroupManifest& m);
   /// Best-effort publication of the committed (counter, log_head) to the
   /// gossip channel, so clients can spot rollbacks served to them even
@@ -296,17 +305,13 @@ class AdminApi {
   void publish_freshness_gossip(const GroupId& gid,
                                 const enclave::FreshnessToken& token);
   void push_sealed_gk(const GroupId& gid, const GroupState& state);
-  /// CAS-merge publication of one op-log entry (pre-commit): fetch, rebase
-  /// our entry onto the remote head, put_cas; on conflict re-fetch and merge
-  /// so no concurrent admin's entries are lost. Returns the entry's hash —
-  /// the manifest's log_head anchor. All-zero when logging is off.
-  LogHead publish_log_entry(const GroupId& gid, LogOp op,
-                            const std::string& subject);
   [[nodiscard]] bool verify_envelope(const SignedEnvelope& env) const;
-  /// Post-commit sweep: deletes shard / cipher / delta / sealed-gk files
-  /// that the committed manifest no longer references (deltas: anything
-  /// outside [delta_base, counter]). Best-effort — a failed sweep leaves
-  /// orphans for the next gc/recover, never an inconsistency.
+  /// Post-commit sweep: deletes the shard / cipher / sealed-gk files carrying
+  /// THIS admin's nonce that the committed manifest no longer references,
+  /// and (with log_operations off) deltas below delta_base. A peer's objects
+  /// are never touched — they may belong to its in-flight commit.
+  /// Best-effort — a failed sweep leaves orphans for the next gc/recover,
+  /// never an inconsistency.
   void gc_group(const GroupId& gid, const GroupState& state);
   /// Advances the local id/epoch/object counters past every id the
   /// committed state carries for this admin's nonce.
@@ -322,16 +327,15 @@ class AdminApi {
   /// stable pids; stages a repartition delta op so warm clients fold it.
   /// Pure state surgery — the caller rewrites the shard and the bundle.
   void repartition_shard(GroupState& state, std::size_t shard);
+  /// Full rebuild through create_group_sized; the ops already staged (the
+  /// removal that triggered it) are recorded in its snapshot delta.
   void rebuild_group(const GroupId& gid, GroupState& state);
 
   /// Retry wrapper for a whole mutation: runs `op` against the cached state,
-  /// publishes the staged op-log entry, then attempts the manifest CAS; on
-  /// conflict re-syncs and re-runs the (idempotent) op. `op` is called as
-  /// op(state, staged) — `staged` lets the re-partitioning path publish its
-  /// log entry before handing off to rebuild_group.
+  /// then attempts the manifest CAS; on conflict re-syncs and re-runs the
+  /// (idempotent) op.
   template <typename Op>
-  OpOutcome mutate_with_retry(const GroupId& gid, LogOp logop,
-                              const std::string& subject, Op&& op);
+  OpOutcome mutate_with_retry(const GroupId& gid, Op&& op);
 
   /// Retries `f` on retryable faults (transient) per config_.retry;
   /// CrashError, IntegrityError and everything else propagate.
@@ -347,7 +351,6 @@ class AdminApi {
   AdminConfig config_;
   crypto::Drbg rng_;  // untrusted-side randomness (partition placement only)
   std::map<GroupId, GroupState> cache_;
-  std::map<GroupId, MembershipLog> logs_;
   PartitionAdvisor advisor_;
   AdminStats stats_;
 };

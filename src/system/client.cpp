@@ -92,7 +92,7 @@ ClientApi::Fetch ClientApi::check_freshness(const GroupId& gid,
                                             bool& fresh_rejected) {
   const auto& tok = m.freshness;
   if (tok.counter == 0 || !tok.verify(*freshness_key_, gid) ||
-      tok.gk_epoch != m.gk_epoch || tok.log_head != m.log_head) {
+      !m.token_binds()) {
     // Unattested, forged, or mis-bound token: indistinguishable from any
     // other unauthenticated metadata.
     ++stats_.signature_failures;
@@ -135,17 +135,18 @@ bool ClientApi::fold_deltas(const GroupId& gid, const GroupManifest& m,
                             CachedIndex& view) {
   const std::uint64_t target = m.freshness.counter;
   for (std::uint64_t seq = view.counter + 1; seq <= target; ++seq) {
+    // The newest delta rides in the manifest; older ones were copied out to
+    // their files by the commits that followed them.
     std::optional<util::Bytes> raw;
-    try {
-      raw = with_retries([&] { return cloud_.get(delta_path(gid, seq)); });
-    } catch (const cloud::TransientError&) {
-      return false;  // window raced the GC, or the replica is torn
-    }
-    if (!raw) return false;
-    if (seq == target && content_hash(*raw) != m.delta_hash) {
-      // The manifest pins its own commit's delta: different bytes under the
-      // committed name mean a racing/Byzantine writer clobbered it.
-      return false;
+    if (seq == target) {
+      raw = m.delta;
+    } else {
+      try {
+        raw = with_retries([&] { return cloud_.get(delta_path(gid, seq)); });
+      } catch (const cloud::TransientError&) {
+        return false;  // window raced the GC, or the replica is torn
+      }
+      if (!raw) return false;
     }
     IndexDelta delta;
     try {
@@ -162,13 +163,15 @@ bool ClientApi::fold_deltas(const GroupId& gid, const GroupManifest& m,
       return false;
     }
     // apply() enforces seq == counter+1 and the log-head chain, and rejects
-    // structurally inconsistent ops without touching the view.
+    // snapshot barriers and structurally inconsistent ops.
     if (!view.apply(delta)) return false;
     ++stats_.delta_folds;
   }
   // The chain must land exactly on the committed head; anything else means
   // a spliced or replayed sequence survived the per-delta checks.
-  if (view.counter != target || view.log_head != m.log_head) return false;
+  if (view.counter != target || view.log_head != m.freshness.log_head) {
+    return false;
+  }
   view.gk_epoch = m.gk_epoch;
   return true;
 }
@@ -209,7 +212,7 @@ bool ClientApi::load_snapshot(const GroupId& gid, const GroupManifest& m,
     }
   }
   view.counter = m.freshness.counter;
-  view.log_head = m.log_head;
+  view.log_head = m.freshness.log_head;
   view.gk_epoch = m.gk_epoch;
   return true;
 }
@@ -219,18 +222,18 @@ CachedIndex* ClientApi::refresh_view(const GroupId& gid,
   auto it = cache_.find(gid);
   if (it != cache_.end()) {
     CachedIndex& view = it->second;
-    if (view.counter == m.freshness.counter && view.log_head == m.log_head &&
-        view.gk_epoch == m.gk_epoch) {
+    if (view.counter == m.freshness.counter &&
+        view.log_head == m.freshness.log_head && view.gk_epoch == m.gk_epoch) {
       return &view;  // warm: same commit, zero index bytes downloaded
     }
     // Fold only when every missing commit's delta is still retained
     // (cache at counter c needs d<c+1>..d<counter>, so c+1 >= delta_base).
-    if (view.counter < m.freshness.counter && m.delta_base > 0 &&
+    if (view.counter < m.freshness.counter &&
         view.counter + 1 >= m.delta_base && fold_deltas(gid, m, view)) {
       return &view;
     }
-    // Gap, chain break, bad signature, or clobbered delta: discard the cache
-    // and take the snapshot path. Safe — just slower.
+    // Gap, chain break, bad signature, or a snapshot barrier: discard the
+    // cache and take the snapshot path. Safe — just slower.
     ++stats_.fold_fallbacks;
     cache_.erase(it);
   }
@@ -418,7 +421,7 @@ std::optional<util::Bytes> ClientApi::wait_for_update(
     const GroupId& gid, std::chrono::milliseconds timeout) {
   std::uint64_t cursor = seen_versions_[gid];
   // The manifest version this client last authenticated. The commit protocol
-  // pushes shadow shards / deltas / sealed gk / op-log entries BEFORE the
+  // pushes shadow shards / the previous delta / sealed gk BEFORE the
   // manifest CAS, and every one of those bumps the directory version — so a
   // directory wake alone does not mean the membership view changed yet. Only
   // the committed manifest moving past what we last saw ends the wait.

@@ -14,11 +14,12 @@
 //   * reuses the cache untouched when the manifest shows the same commit
 //     (warm path — zero index bytes downloaded),
 //   * folds the missing deltas when its cache is inside the manifest's
-//     retention window (verifying each delta's signature, its seq/log-head
-//     chain, and the last one against the manifest's delta hash),
+//     retention window (the newest rides in the manifest; each delta's
+//     signature and seq/log-head chain is verified, and the chain must end
+//     on the head the manifest's freshness token carries),
 //   * falls back to a full shard-by-shard snapshot on any gap, signature
-//     failure, chain break, or fork verdict — folding can degrade service,
-//     never correctness.
+//     failure, chain break, snapshot barrier (creation, full re-partition)
+//     or fork verdict — folding can degrade service, never correctness.
 // Membership lookups on the cached index are O(1) via a lazily built hash
 // map that delta folds keep incrementally up to date.
 //
@@ -38,9 +39,10 @@
 // Byzantine-cloud defence (opt-in, docs/fault_model.md "Malicious tier"):
 // enable_freshness() makes the client verify the enclave-signed freshness
 // token every committed manifest carries — signature, binding to
-// (gk_epoch, log_head), and monotonicity against a per-group high-water mark
-// — so a rolled-back manifest+log pair (internally consistent, correctly
-// signed, merely OLD) is rejected, not just a spliced one. enable_gossip()
+// (gk_epoch, the embedded delta's seq and head), and monotonicity against a
+// per-group high-water mark — so a rolled-back manifest (internally
+// consistent, correctly signed, merely OLD) is rejected, not just a spliced
+// one. enable_gossip()
 // adds fork detection: clients piggyback their observed (counter, log_head)
 // on an out-of-band channel and cross-check it before accepting a view, so
 // two clients served divergent equal-counter views detect the fork within
@@ -89,7 +91,7 @@ class ClientApi {
 
   /// Opts in to enclave-anchored rollback protection: every manifest must
   /// carry a freshness token verifiable under the enclave identity key,
-  /// bound to the manifest's (gk_epoch, log_head), with a counter that never
+  /// bound to the manifest's (gk_epoch, delta head), with a counter that never
   /// moves backwards per group. Without this call behaviour is unchanged.
   void enable_freshness(ec::P256Point enclave_identity_key) {
     freshness_key_ = enclave_identity_key;
@@ -138,8 +140,8 @@ class ClientApi {
   /// Blocks until the group's COMMITTED state changes relative to the last
   /// observation, then re-derives the key. std::nullopt on timeout or
   /// revocation. Directory wakes caused by an admin's pre-commit shadow
-  /// writes (fresh shards, deltas, sealed gk, op-log — all pushed before the
-  /// manifest CAS) do not complete the wait: only the manifest version
+  /// writes (fresh shards, the previous delta, sealed gk — all pushed before
+  /// the manifest CAS) do not complete the wait: only the manifest version
   /// moving past the one this client last authenticated does. Spurious
   /// long-poll timeouts and transient poll errors re-arm with the remaining
   /// budget.

@@ -45,8 +45,8 @@ class IbbeSgxScheme : public he::GroupScheme {
   explicit IbbeSgxScheme(std::size_t partition_size, std::uint64_t seed = 0);
 
   /// Same deployment, but all cloud traffic passes through a
-  /// FaultInjectingStore running `plan` (crashes included), the op-log is on,
-  /// and retry delays are zeroed so tests stay fast.
+  /// FaultInjectingStore running `plan` (crashes included), the audit log is
+  /// retained, and retry delays are zeroed so tests stay fast.
   IbbeSgxScheme(std::size_t partition_size, std::uint64_t seed,
                 const cloud::FaultPlan& plan);
 

@@ -34,6 +34,35 @@ std::vector<core::Identity> read_members(util::ByteReader& r) {
   return members;
 }
 
+/// Everything the chain head covers: the delta minus its seq.
+void write_delta_body(util::ByteWriter& w, const IndexDelta& d) {
+  w.raw(d.prev_log_head);
+  w.str(d.admin);
+  w.u32(static_cast<std::uint32_t>(d.ops.size()));
+  for (const auto& op : d.ops) {
+    w.u8(static_cast<std::uint8_t>(op.kind));
+    switch (op.kind) {
+      case DeltaOp::Kind::add_member:
+      case DeltaOp::Kind::remove_member:
+        w.str(op.user);
+        w.u64(op.pid);
+        break;
+      case DeltaOp::Kind::repartition:
+        w.u32(static_cast<std::uint32_t>(op.dropped.size()));
+        for (PartitionId pid : op.dropped) w.u64(pid);
+        w.u32(static_cast<std::uint32_t>(op.created.size()));
+        for (const auto& [pid, members] : op.created) {
+          w.u64(pid);
+          write_members(w, members);
+        }
+        break;
+      case DeltaOp::Kind::snapshot:
+        w.str(op.user);
+        break;
+    }
+  }
+}
+
 }  // namespace
 
 Hash32 content_hash(std::span<const std::uint8_t> data) {
@@ -56,10 +85,9 @@ util::Bytes GroupManifest::to_bytes() const {
     w.u64(oid);
   }
   w.u64(gk_epoch);
-  w.raw(log_head);
   w.raw(freshness.to_bytes());
   w.u64(delta_base);
-  write_hash(w, delta_hash);
+  w.blob(delta);
   return w.take();
 }
 
@@ -81,13 +109,26 @@ GroupManifest GroupManifest::from_bytes(std::span<const std::uint8_t> data) {
     m.overlays[pid] = r.u64();
   }
   m.gk_epoch = r.u64();
-  m.log_head = read_hash(r);
   m.freshness = enclave::FreshnessToken::from_bytes(
       r.raw(enclave::FreshnessToken::serialized_size));
   m.delta_base = r.u64();
-  m.delta_hash = read_hash(r);
+  m.delta = r.blob();
   r.expect_end();
   return m;
+}
+
+IndexDelta GroupManifest::head_delta() const {
+  return IndexDelta::from_bytes(SignedEnvelope::from_bytes(delta).payload);
+}
+
+bool GroupManifest::token_binds() const {
+  if (freshness.gk_epoch != gk_epoch) return false;
+  try {
+    IndexDelta d = head_delta();
+    return d.seq == freshness.counter && d.log_head() == freshness.log_head;
+  } catch (const util::DeserializeError&) {
+    return false;
+  }
 }
 
 // -------------------------------------------------------------- IndexShard
@@ -168,31 +209,22 @@ CipherOverlay CipherOverlay::from_bytes(std::span<const std::uint8_t> data) {
 
 // -------------------------------------------------------------- IndexDelta
 
+Hash32 IndexDelta::log_head() const {
+  util::ByteWriter w;
+  write_delta_body(w, *this);
+  return crypto::Sha256::hash(w.bytes());
+}
+
+bool IndexDelta::is_snapshot() const {
+  return std::any_of(ops.begin(), ops.end(), [](const DeltaOp& op) {
+    return op.kind == DeltaOp::Kind::snapshot;
+  });
+}
+
 util::Bytes IndexDelta::to_bytes() const {
   util::ByteWriter w;
   w.u64(seq);
-  w.raw(prev_log_head);
-  w.raw(log_head);
-  w.u32(static_cast<std::uint32_t>(ops.size()));
-  for (const auto& op : ops) {
-    w.u8(static_cast<std::uint8_t>(op.kind));
-    switch (op.kind) {
-      case DeltaOp::Kind::add_member:
-      case DeltaOp::Kind::remove_member:
-        w.str(op.user);
-        w.u64(op.pid);
-        break;
-      case DeltaOp::Kind::repartition:
-        w.u32(static_cast<std::uint32_t>(op.dropped.size()));
-        for (PartitionId pid : op.dropped) w.u64(pid);
-        w.u32(static_cast<std::uint32_t>(op.created.size()));
-        for (const auto& [pid, members] : op.created) {
-          w.u64(pid);
-          write_members(w, members);
-        }
-        break;
-    }
-  }
+  write_delta_body(w, *this);
   return w.take();
 }
 
@@ -201,7 +233,7 @@ IndexDelta IndexDelta::from_bytes(std::span<const std::uint8_t> data) {
   IndexDelta d;
   d.seq = r.u64();
   d.prev_log_head = read_hash(r);
-  d.log_head = read_hash(r);
+  d.admin = r.str();
   std::size_t nops = r.count(1);  // each op is at least its kind byte
   d.ops.reserve(nops);
   for (std::size_t i = 0; i < nops; ++i) {
@@ -227,6 +259,10 @@ IndexDelta IndexDelta::from_bytes(std::span<const std::uint8_t> data) {
         }
         break;
       }
+      case static_cast<std::uint8_t>(DeltaOp::Kind::snapshot):
+        op.kind = DeltaOp::Kind::snapshot;
+        op.user = r.str();
+        break;
       default:
         throw util::DeserializeError("IndexDelta: unknown op kind");
     }
@@ -333,10 +369,12 @@ bool CachedIndex::apply(const IndexDelta& d) {
         }
         break;
       }
+      case DeltaOp::Kind::snapshot:
+        return false;  // a barrier: only a full snapshot crosses it
     }
   }
   counter = d.seq;
-  log_head = d.log_head;
+  log_head = d.log_head();
   return true;
 }
 
@@ -369,6 +407,34 @@ SignedEnvelope SignedEnvelope::sign(const pki::EcdsaKeyPair& key,
 
 bool SignedEnvelope::verify(const ec::P256Point& admin_pub) const {
   return pki::ecdsa_verify(admin_pub, payload, signature);
+}
+
+LogAudit audit_delta_chain(std::uint64_t seq, const Hash32& head,
+                           const DeltaSource& fetch,
+                           std::span<const ec::P256Point> admin_keys) {
+  Hash32 expected = head;
+  for (;; --seq) {
+    if (seq == 0) return {false, "hash chain runs past the first counter", 0};
+    auto raw = fetch(seq);
+    if (!raw) return {false, "delta missing (log truncated or withheld)", seq};
+    IndexDelta d;
+    try {
+      auto env = SignedEnvelope::from_bytes(*raw);
+      bool signed_by_admin = std::any_of(
+          admin_keys.begin(), admin_keys.end(),
+          [&](const ec::P256Point& key) { return env.verify(key); });
+      if (!signed_by_admin) {
+        return {false, "signature by unknown or forged key", seq};
+      }
+      d = IndexDelta::from_bytes(env.payload);
+    } catch (const util::DeserializeError&) {
+      return {false, "delta corrupted", seq};
+    }
+    if (d.seq != seq) return {false, "sequence number mismatch", seq};
+    if (d.log_head() != expected) return {false, "hash chain broken", seq};
+    if (d.prev_log_head == Hash32{}) return {true, "", 0};  // genesis
+    expected = d.prev_log_head;
+  }
 }
 
 util::Bytes FreshnessObservation::to_bytes() const {

@@ -5,8 +5,9 @@
 //
 //   groups/<gid>/index      — GroupManifest: shard refs (id + hash), the
 //                             cipher-set id, per-partition cipher overlays,
-//                             gk_epoch, op-log head, freshness token and the
-//                             delta window. THE single CAS commit point.
+//                             gk_epoch, freshness token, the delta window and
+//                             this commit's own signed delta. THE single CAS
+//                             commit point.
 //   groups/<gid>/s<k>       — IndexShard: the member lists of a few whole
 //                             partitions. Copy-on-write (fresh id per
 //                             rewrite); pinned by the manifest's shard hash.
@@ -21,23 +22,29 @@
 //                             map is cleared whenever a rotation rewrites the
 //                             bundle.
 //   groups/<gid>/d<seq>     — IndexDelta: the signed membership diff of the
-//                             commit whose freshness counter is <seq>,
-//                             hash-chained through the op-log heads. Warm
-//                             clients fold deltas into a cached index instead
-//                             of re-downloading every shard; the manifest's
+//                             commit whose freshness counter is <seq>. The
+//                             deltas form one hash chain from the group's
+//                             genesis — the group's only membership log. A
+//                             commit's delta rides inside its manifest; the
+//                             NEXT commit copies those committed bytes out to
+//                             d<seq> before its CAS, so no delta file ever
+//                             holds an uncommitted payload. Warm clients fold
+//                             deltas into a cached index; the manifest's
 //                             delta_base bounds the retained window.
-//   groups/<gid>/gk<e>.sealed, groups/<gid>/oplog — unchanged.
+//   groups/<gid>/gk<e>.sealed — the sealed group key of epoch <e>.
 //
 // Partition ids are STABLE logical names (a partition keeps its id across
 // mutations); copy-on-write immutability lives in the shard / bundle /
-// overlay / delta object ids instead. Everything except the sealed gk is
-// wrapped in SignedEnvelope so clients can authenticate that membership
-// changes come from an administrator (the paper's authenticity requirement;
-// confidentiality of gk needs no signature — it is wrapped).
+// overlay object ids instead, and a delta's name is its commit's counter.
+// Everything except the sealed gk is wrapped in SignedEnvelope so clients can
+// authenticate that membership changes come from an administrator (the
+// paper's authenticity requirement; confidentiality of gk needs no
+// signature — it is wrapped).
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -53,7 +60,7 @@ using GroupId = std::string;
 using PartitionId = std::uint64_t;
 using Hash32 = std::array<std::uint8_t, 32>;
 
-/// SHA-256 of an object's stored bytes (the manifest pins shards/deltas by
+/// SHA-256 of an object's stored bytes (the manifest pins shards by
 /// content, so a stale replica serving an old shard under a live name is
 /// detected without trusting cloud versions).
 Hash32 content_hash(std::span<const std::uint8_t> data);
@@ -65,33 +72,40 @@ struct ShardRef {
   Hash32 hash{};
 };
 
+struct IndexDelta;
+
 /// The commit point of every group mutation (see the layout comment above).
-/// All shard / bundle / overlay / delta / sealed-gk / op-log writes land on
-/// the cloud BEFORE the CAS that publishes this record makes them reachable.
-/// It anchors the state that needs the CAS'd lineage for integrity: the
-/// shard hashes, which sealed-gk epoch and cipher objects are current, the
-/// hash of the op-log entry that committed it (so a rolled-back log suffix
-/// is detectable — see MembershipLog::audit), the enclave-signed freshness
-/// token binding the commit to a platform monotonic counter (rollback of the
-/// whole index+log pair is detectable too — docs/fault_model.md), and the
-/// hash of this commit's delta so the chain clients fold is exactly the
-/// committed one.
+/// All shard / bundle / overlay / delta / sealed-gk writes land on the cloud
+/// BEFORE the CAS that publishes this record makes them reachable. It anchors
+/// the state that needs the CAS'd lineage for integrity: the shard hashes,
+/// which sealed-gk epoch and cipher objects are current, and the
+/// enclave-signed freshness token binding the commit to a platform monotonic
+/// counter and to the head of the delta chain (a rolled-back manifest, or a
+/// truncated or spliced chain, is detectable — docs/fault_model.md). The
+/// commit's own delta is embedded, so the head the token binds always has its
+/// bytes at hand.
 struct GroupManifest {
   std::vector<ShardRef> shards;
   std::uint64_t cipher_set = 0;                // live CipherBundle object id
   std::map<PartitionId, std::uint64_t> overlays;  // pid -> live overlay id
   std::uint64_t gk_epoch = 0;                  // which gk<e>.sealed is live
-  std::array<std::uint8_t, 32> log_head{};     // committed op-log head (0 = none)
-  enclave::FreshnessToken freshness;           // counter == 0 ⇒ not attested
-  /// Earliest delta seq still retained on the cloud. A snapshot-barrier
-  /// commit (creation, full re-partition) publishes no delta and sets this
-  /// to counter+1; clients whose cache is older than delta_base-1 must take
-  /// a full snapshot.
+  /// counter == 0 ⇒ not attested; log_head is the delta chain's head.
+  enclave::FreshnessToken freshness;
+  /// Earliest delta seq still retained on the cloud (the group's genesis
+  /// while the audit log is kept). A client whose cache is older than
+  /// delta_base-1 must take a full snapshot.
   std::uint64_t delta_base = 0;
-  /// SHA-256 of this commit's stored delta envelope (d<freshness.counter>);
-  /// all-zero on a snapshot barrier. Pins the delta a racing or Byzantine
-  /// writer might have replaced.
-  Hash32 delta_hash{};
+  /// This commit's SignedEnvelope over its IndexDelta (seq ==
+  /// freshness.counter). The next commit writes these bytes verbatim to
+  /// d<seq>.
+  util::Bytes delta;
+
+  /// Parses the embedded delta (signature NOT checked). Throws
+  /// util::DeserializeError.
+  [[nodiscard]] IndexDelta head_delta() const;
+  /// True if the freshness token binds this manifest: same gk epoch, and the
+  /// embedded delta carries the token's counter and hashes to its head.
+  [[nodiscard]] bool token_binds() const;
 
   [[nodiscard]] util::Bytes to_bytes() const;
   static GroupManifest from_bytes(std::span<const std::uint8_t> data);
@@ -137,26 +151,35 @@ struct DeltaOp {
     remove_member = 2,  // remove `user` from `pid` (dropped when emptied)
     repartition = 3,    // shard-local rebuild: `dropped` pids replaced by
                         // `created` (pid, members) partitions
+    snapshot = 4,       // creation / full re-partition barrier: `user`
+                        // holds a summary; clients never fold it
   };
   Kind kind = Kind::add_member;
-  core::Identity user;  // add/remove
+  core::Identity user;  // add/remove; the summary of a snapshot
   PartitionId pid = 0;  // add/remove
   std::vector<PartitionId> dropped;  // repartition
   std::vector<std::pair<PartitionId, std::vector<core::Identity>>> created;
 };
 
-/// The signed membership diff of one commit. `seq` equals the commit's
-/// freshness counter (so the file name d<seq> and the enclave counter agree
-/// by construction), and consecutive deltas chain through the op-log heads
-/// the commits anchored: delta d must satisfy d.prev_log_head ==
-/// previous-commit.log_head, which the client verifies while folding —
-/// splicing, reordering or replaying deltas breaks the chain and forces a
-/// (safe) snapshot fallback.
+/// The signed membership diff of one commit, and one link of the group's
+/// audit log. `seq` equals the commit's freshness counter (so the file name
+/// d<seq> and the enclave counter agree by construction). Consecutive deltas
+/// chain through their heads: d.prev_log_head must equal the previous
+/// commit's log_head(), which the client verifies while folding and the audit
+/// verifies back to genesis (prev_log_head all-zero) — splicing, reordering
+/// or replaying deltas breaks the chain.
 struct IndexDelta {
   std::uint64_t seq = 0;
-  std::array<std::uint8_t, 32> prev_log_head{};
-  std::array<std::uint8_t, 32> log_head{};
+  Hash32 prev_log_head{};
+  std::string admin;  // the administrator that committed it
   std::vector<DeltaOp> ops;
+
+  /// H(prev_log_head ‖ admin ‖ ops): the chain head this commit attests.
+  /// Excludes seq, which the freshness token binds instead, so the head is
+  /// known before the enclave assigns the counter.
+  [[nodiscard]] Hash32 log_head() const;
+  /// True if any op is a snapshot barrier.
+  [[nodiscard]] bool is_snapshot() const;
 
   [[nodiscard]] util::Bytes to_bytes() const;
   static IndexDelta from_bytes(std::span<const std::uint8_t> data);
@@ -192,9 +215,9 @@ class CachedIndex {
 
   /// Folds one delta. Returns false unless `d` is exactly the next commit
   /// (seq == counter+1 and prev_log_head chains from our log_head) and every
-  /// op is structurally consistent with the current view; a replayed or
-  /// duplicated delta therefore is a no-op by construction (the chain check
-  /// rejects it before anything mutates). A STRUCTURAL rejection may leave a
+  /// op is structurally consistent with the current view (a snapshot op never
+  /// is); a replayed or duplicated delta therefore is a no-op by construction
+  /// (the chain check rejects it before anything mutates). A STRUCTURAL rejection may leave a
   /// partially folded view — callers must discard the view and fall back to
   /// a snapshot, which is what the client's fold path does. On success the
   /// lookup map is updated incrementally.
@@ -219,6 +242,27 @@ struct SignedEnvelope {
   static SignedEnvelope sign(const pki::EcdsaKeyPair& key, util::Bytes payload);
   [[nodiscard]] bool verify(const ec::P256Point& admin_pub) const;
 };
+
+/// Verdict of a delta-chain audit.
+struct LogAudit {
+  bool ok = false;
+  std::string failure;       // empty when ok
+  std::uint64_t bad_seq = 0; // the delta that failed; valid when !ok
+};
+
+/// Stored envelope bytes of delta `seq`, or nullopt if absent.
+using DeltaSource =
+    std::function<std::optional<util::Bytes>(std::uint64_t seq)>;
+
+/// Audits a group's membership log: walks the delta chain back from delta
+/// `seq`, whose head must be `head` (the committed manifest's attested
+/// head), to genesis. Every delta must parse, be signed by one of
+/// `admin_keys`, carry its sequence number, and hash to the head its
+/// successor chains from. A missing link (truncation, a withheld tail, or a
+/// window the retention policy already swept) fails the audit.
+[[nodiscard]] LogAudit audit_delta_chain(
+    std::uint64_t seq, const Hash32& head, const DeltaSource& fetch,
+    std::span<const ec::P256Point> admin_keys);
 
 /// One observer's view of a group's freshness, published to the gossip
 /// channel (unsigned — the channel is a HINT: a forged observation can make

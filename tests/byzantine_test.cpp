@@ -13,7 +13,8 @@
 //   3. the fork construction: two admins race one index CAS so two
 //      enclave-attested tokens share a counter with divergent log heads; the
 //      cloud serves one to each client, and gossip makes both clients detect
-//      the fork within one poll round;
+//      the fork within one poll round — with the audit log retained or not,
+//      since every commit's delta advances the head;
 //   4. the full Byzantine scheme (malice + fail-stop faults + crash
 //      recovery) held to the same membership/key invariants as a fault-free
 //      deployment, plus the splice-across-fork audit regression.
@@ -29,7 +30,7 @@
 #include "system/admin.h"
 #include "system/client.h"
 #include "system/ibbe_scheme.h"
-#include "system/oplog.h"
+#include "log_util.h"
 #include "util/retry.h"
 
 namespace {
@@ -45,8 +46,9 @@ using ibbe::system::AdminApi;
 using ibbe::system::AdminConfig;
 using ibbe::system::ClientApi;
 using ibbe::system::GroupId;
-using ibbe::system::LogOp;
-using ibbe::system::MembershipLog;
+using ibbe::testutil::add_op;
+using ibbe::testutil::DeltaChain;
+using ibbe::testutil::snapshot_op;
 using ibbe::util::Bytes;
 using ibbe::util::RetryPolicy;
 using FetchStatus = ClientApi::FetchStatus;
@@ -75,15 +77,17 @@ TEST(MaliciousStore, SameSeedReplaysIdenticalAttackTrace) {
     plan.equivocate_rate = 0.15;
     plan.max_window = 3;
     MaliciousStore mal(inner, plan);
-    // Six committed generations (every index write auto-captures).
+    // Six committed generations (every index write auto-captures), each
+    // with one more delta file.
     for (int i = 0; i < 6; ++i) {
-      mal.put("groups/g/oplog", bytes_of("log" + std::to_string(i)));
+      mal.put("groups/g/d" + std::to_string(i),
+              bytes_of("log" + std::to_string(i)));
       mal.put("groups/g/index", bytes_of("idx" + std::to_string(i)));
     }
     std::string trace;
     for (int i = 0; i < 48; ++i) {
       auto idx = mal.get("groups/g/index");
-      auto log = mal.get("groups/g/oplog");
+      auto log = mal.get("groups/g/d5");
       trace += idx ? str_of(*idx) : "-";
       trace += '/';
       trace += log ? str_of(*log) : "-";
@@ -277,19 +281,26 @@ TEST_F(ByzantineFixture, WholesaleRollbackIsDetectedNeverAccepted) {
 }
 
 TEST_F(ByzantineFixture, WithheldLogTailFailsTheAnchoredAudit) {
-  // The committed index stays LIVE while the op-log is served from before
-  // the add: chain-valid, signature-valid, merely missing the tail the
-  // index's log_head anchors.
-  auto old_log = malicious.snapshot_value(0, ibbe::system::oplog_path(gid));
-  ASSERT_TRUE(old_log.has_value());
-  malicious.override_path("", ibbe::system::oplog_path(gid), old_log->value);
+  // An auditor's view keeps the committed manifest LIVE while every delta
+  // file is served from before the add: the tail the manifest's attested
+  // head chains through is simply not there.
+  auto& auditor_view = malicious.view("auditor");
+  malicious.pin_view("auditor", 0);
+  malicious.override_path("auditor", ibbe::system::index_path(gid),
+                          *inner.get(ibbe::system::index_path(gid)));
+  AdminApi auditor(enclave, auditor_view, admin_key,
+                   AdminConfig{.partition_size = 3,
+                               .retry = RetryPolicy{}.without_delays(),
+                               .log_operations = true});
 
-  auto audit = admin.audit_group_log(gid);
+  auto audit = auditor.audit_group_log(gid);
   EXPECT_FALSE(audit.ok);
-  EXPECT_NE(audit.failure.find("truncated"), std::string::npos)
+  EXPECT_NE(audit.failure.find("withheld"), std::string::npos)
       << audit.failure;
+  EXPECT_EQ(audit.bad_seq, 1u);
+  EXPECT_TRUE(admin.audit_group_log(gid).ok);  // the live chain is whole
 
-  // Clients do not consume the log; the live index still serves them.
+  // A cold client needs no delta: the live manifest still serves it.
   auto client = make_client("u9", "u9", malicious);
   EXPECT_EQ(client.fetch(gid).status, FetchStatus::ok);
 }
@@ -300,8 +311,8 @@ TEST_F(ByzantineFixture, SelectiveStaleIndexIsRejectedByFreshness) {
   ASSERT_EQ(live.status, FetchStatus::ok);
   const Bytes current_key = *live.key;
 
-  // Equivocation: ONLY the index file is served old (counter 1); partitions,
-  // op-log and directory versions stay live.
+  // Equivocation: ONLY the index file is served old (counter 1); shards,
+  // deltas and directory versions stay live.
   auto old_index = malicious.snapshot_value(0, ibbe::system::index_path(gid));
   ASSERT_TRUE(old_index.has_value());
   malicious.override_path("", ibbe::system::index_path(gid), old_index->value);
@@ -323,12 +334,13 @@ TEST_F(ByzantineFixture, SelectiveStaleIndexIsRejectedByFreshness) {
 
 // ------------------------------------------------------------ the fork test
 
-TEST(ByzantineFork, ForkedClientsDetectDivergenceWithinOnePollRound) {
-  // Construct a REAL fork: two admins race one index CAS, so two
-  // enclave-attested freshness tokens share counter c+1 with divergent log
-  // heads. The loser's payload never committed — but it is correctly signed
-  // all the way down, which makes it perfect equivocation material for a
-  // Byzantine cloud.
+/// Constructs a REAL fork: two admins race one index CAS, so two
+/// enclave-attested freshness tokens share counter c+1 with divergent log
+/// heads. The loser's payload never committed — but it is correctly signed
+/// all the way down, which makes it perfect equivocation material for a
+/// Byzantine cloud. The heads diverge whether or not the audit log is
+/// retained: each commit's own delta advances the chain.
+void detect_fork_within_one_poll_round(bool log_operations) {
   ibbe::sgx::EnclavePlatform platform("fork-box");
   ibbe::enclave::IbbeEnclave enclave(platform, 8);
   CloudStore inner;
@@ -345,7 +357,7 @@ TEST(ByzantineFork, ForkedClientsDetectDivergenceWithinOnePollRound) {
     config.multi_admin = true;
     config.admin_nonce = nonce;
     config.admin_name = name;
-    config.log_operations = true;
+    config.log_operations = log_operations;
     config.retry = RetryPolicy{}.without_delays();
     config.peer_verification_keys = {ibbe::ec::p256_to_bytes(peer.public_key())};
     return config;
@@ -373,6 +385,8 @@ TEST(ByzantineFork, ForkedClientsDetectDivergenceWithinOnePollRound) {
   ASSERT_EQ(rejected.size(), 1u) << "B's losing CAS payload not captured";
   const std::size_t fork_gen = 1;  // generation captured at A's mid-hook add
   ASSERT_GE(malicious.generation_count(), 3u);
+  // The loser left nothing under a delta's name: the live chain is whole.
+  ibbe::testutil::expect_deltas_committed(inner, admin_a, gid);
 
   // The adversary suppresses the admins' commit announcements (models
   // clients racing ahead of gossip propagation) and serves each client one
@@ -425,35 +439,43 @@ TEST(ByzantineFork, ForkedClientsDetectDivergenceWithinOnePollRound) {
   EXPECT_EQ(z.fetch(gid).status, FetchStatus::ok);
 }
 
+TEST(ByzantineFork, ForkedClientsDetectDivergenceWithinOnePollRound) {
+  for (bool log : {true, false}) {
+    SCOPED_TRACE(log ? "log_operations on" : "log_operations off");
+    detect_fork_within_one_poll_round(log);
+  }
+}
+
 // ------------------------------------------------ splice-across-fork audit
 
-TEST(OpLogFork, TwoValidChainsSharingAPrefixAreSplitByTheAnchor) {
+TEST(LogFork, TwoValidChainsSharingAPrefixAreSplitByTheAnchor) {
   ibbe::crypto::Drbg rng(77);
   auto key = ibbe::pki::EcdsaKeyPair::generate(rng);
-  MembershipLog base;
-  base.append(LogOp::create_group, "members=2", "solo", key);
-  base.append(LogOp::add_user, "x", "solo", key);
+  DeltaChain base;
+  base.append({snapshot_op("members=2")}, "solo", key);
+  base.append({add_op("x")}, "solo", key);
 
   // The server forks history after the shared prefix: one chain adds alice,
   // the "other timeline" adds mallory. BOTH are internally perfect.
-  auto fork_a = MembershipLog::from_bytes(base.to_bytes());
-  auto fork_b = MembershipLog::from_bytes(base.to_bytes());
-  fork_a.append(LogOp::add_user, "alice", "solo", key);
-  fork_b.append(LogOp::add_user, "mallory", "solo", key);
+  DeltaChain fork_a = base;
+  DeltaChain fork_b = base;
+  fork_a.append({add_op("alice")}, "solo", key);
+  fork_b.append({add_op("mallory")}, "solo", key);
 
   std::vector<ibbe::ec::P256Point> keys = {key.public_key()};
   EXPECT_TRUE(fork_a.audit(keys).ok);
   EXPECT_TRUE(fork_b.audit(keys).ok);  // chain integrity cannot tell them apart
 
-  // The committed index anchors exactly one timeline; the enclave freshness
-  // token binds that anchor to a monotonic counter, so the cloud cannot
-  // re-anchor an old index either. The other timeline must be rejected.
-  const auto anchor = fork_a.entries().back().hash;
-  EXPECT_TRUE(fork_a.audit(keys, &anchor).ok);
-  auto verdict = fork_b.audit(keys, &anchor);
+  // The committed manifest's freshness token binds exactly one timeline's
+  // head to a monotonic counter, so the cloud cannot re-anchor an old
+  // manifest either. The other timeline must be rejected.
+  const auto anchor = fork_a.head;
+  EXPECT_TRUE(fork_a.audit_from(3, anchor, keys).ok);
+  auto verdict = fork_b.audit_from(3, anchor, keys);
   EXPECT_FALSE(verdict.ok);
-  EXPECT_NE(verdict.failure.find("truncated"), std::string::npos)
+  EXPECT_NE(verdict.failure.find("chain"), std::string::npos)
       << verdict.failure;
+  EXPECT_EQ(verdict.bad_seq, 3u);
 }
 
 // ------------------------------------------------------- full Byzantine stack

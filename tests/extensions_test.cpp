@@ -7,7 +7,7 @@
 #include "system/admin.h"
 #include "system/advisor.h"
 #include "system/client.h"
-#include "system/oplog.h"
+#include "log_util.h"
 
 namespace {
 
@@ -15,9 +15,12 @@ using ibbe::core::Identity;
 using ibbe::system::AdminApi;
 using ibbe::system::AdminConfig;
 using ibbe::system::ClientApi;
-using ibbe::system::LogOp;
-using ibbe::system::MembershipLog;
+using ibbe::system::DeltaOp;
 using ibbe::system::PartitionAdvisor;
+using ibbe::testutil::add_op;
+using ibbe::testutil::DeltaChain;
+using ibbe::testutil::remove_op;
+using ibbe::testutil::snapshot_op;
 using ibbe::util::Bytes;
 
 std::vector<Identity> make_users(std::size_t n, std::size_t offset = 0) {
@@ -243,6 +246,7 @@ TEST_F(MultiAdminFixture, ConcurrentUpdatesConvergeViaCas) {
   // Both joiners can derive the key; metadata verifies under either admin key.
   EXPECT_TRUE(client("bob-side").fetch_group_key("g").has_value());
   EXPECT_TRUE(client("alice-side").fetch_group_key("g").has_value());
+  ibbe::testutil::expect_deltas_committed(cloud, *admin_a, "g");
 }
 
 TEST_F(MultiAdminFixture, PeerRevocationIsPickedUp) {
@@ -258,6 +262,7 @@ TEST_F(MultiAdminFixture, PeerRevocationIsPickedUp) {
   auto b = client("late").fetch_group_key("g");
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(a, b);
+  ibbe::testutil::expect_deltas_committed(cloud, *admin_a, "g");
 }
 
 TEST_F(MultiAdminFixture, CopyOnWriteKeepsCloudConsistent) {
@@ -269,7 +274,10 @@ TEST_F(MultiAdminFixture, CopyOnWriteKeepsCloudConsistent) {
   // the garbage collector sweeps the orphan.
   admin_b->add_user("g", "b-new");
 
-  admin_a->sync_from_cloud("g");
+  // Each admin sweeps only the objects it created (a peer's may be shadow
+  // files of an in-flight commit): A's superseded shard and overlay fall to
+  // A's own next sweep — here its recovery pass, which also re-syncs.
+  ASSERT_TRUE(admin_a->recover("g"));
   EXPECT_TRUE(admin_a->is_member("g", "a-new"));
   EXPECT_TRUE(admin_a->is_member("g", "b-new"));
   EXPECT_EQ(admin_a->group_size("g"), 6u);
@@ -287,6 +295,7 @@ TEST_F(MultiAdminFixture, CopyOnWriteKeepsCloudConsistent) {
   ASSERT_TRUE(a.has_value());
   EXPECT_EQ(a, b);
   EXPECT_EQ(a, c);
+  ibbe::testutil::expect_deltas_committed(cloud, *admin_a, "g");
 }
 
 TEST_F(MultiAdminFixture, SyncRejectsUntrustedSignatures) {
@@ -301,48 +310,51 @@ TEST_F(MultiAdminFixture, SyncRejectsUntrustedSignatures) {
 
 // ---------------------------------------------------------------- audit log
 
-TEST(MembershipLogTest, AppendAndAuditCleanChain) {
+TEST(DeltaChainAudit, AppendAndAuditCleanChain) {
   ibbe::crypto::Drbg rng(11);
   auto key = ibbe::pki::EcdsaKeyPair::generate(rng);
-  MembershipLog log;
-  log.append(LogOp::create_group, "members=3", "alice-admin", key);
-  log.append(LogOp::add_user, "dave", "alice-admin", key);
-  log.append(LogOp::remove_user, "bob", "alice-admin", key);
+  DeltaChain chain;
+  chain.append({snapshot_op("members=3")}, "alice-admin", key);
+  chain.append({add_op("dave")}, "alice-admin", key);
+  chain.append({remove_op("bob")}, "alice-admin", key);
 
   std::vector<ibbe::ec::P256Point> keys = {key.public_key()};
-  auto result = log.audit(keys);
+  auto result = chain.audit(keys);
   EXPECT_TRUE(result.ok) << result.failure;
-  EXPECT_EQ(log.size(), 3u);
+  EXPECT_EQ(chain.files.size(), 3u);
 }
 
-TEST(MembershipLogTest, SerializationRoundTrip) {
+TEST(DeltaChainAudit, SerializationRoundTrip) {
   ibbe::crypto::Drbg rng(12);
   auto key = ibbe::pki::EcdsaKeyPair::generate(rng);
-  MembershipLog log;
-  log.append(LogOp::create_group, "members=2", "a", key);
-  log.append(LogOp::add_user, "x", "a", key);
-  auto back = MembershipLog::from_bytes(log.to_bytes());
+  DeltaChain chain;
+  chain.append({snapshot_op("members=2")}, "a", key);
+  chain.append({add_op("x", 7)}, "a", key);
+
+  auto env = ibbe::system::SignedEnvelope::from_bytes(chain.files.at(2));
+  auto back = ibbe::system::IndexDelta::from_bytes(env.payload);
+  EXPECT_EQ(back.seq, 2u);
+  EXPECT_EQ(back.admin, "a");
+  ASSERT_EQ(back.ops.size(), 1u);
+  EXPECT_EQ(back.ops[0].user, "x");
+  EXPECT_EQ(back.ops[0].pid, 7u);
+  EXPECT_EQ(back.log_head(), chain.head);  // the head survives the wire
+  EXPECT_EQ(back.to_bytes(), env.payload);
   std::vector<ibbe::ec::P256Point> keys = {key.public_key()};
-  EXPECT_TRUE(back.audit(keys).ok);
-  EXPECT_EQ(back.size(), 2u);
+  EXPECT_TRUE(chain.audit(keys).ok);
 }
 
-TEST(MembershipLogTest, AuditDetectsTampering) {
+TEST(DeltaChainAudit, AuditDetectsTampering) {
   ibbe::crypto::Drbg rng(13);
   auto key = ibbe::pki::EcdsaKeyPair::generate(rng);
-  MembershipLog log;
-  log.append(LogOp::create_group, "members=2", "a", key);
-  log.append(LogOp::add_user, "mallory", "a", key);
-  log.append(LogOp::remove_user, "mallory", "a", key);
+  DeltaChain chain;
+  chain.append({snapshot_op("members=2")}, "a", key);
+  chain.append({add_op("mallory")}, "a", key);
+  chain.append({remove_op("mallory")}, "a", key);
   std::vector<ibbe::ec::P256Point> keys = {key.public_key()};
 
-  // Drop the revocation (truncation is visible only via external anchoring,
-  // but *internal* splices are caught): replace entry 1's subject.
-  auto bytes = log.to_bytes();
-  auto tampered = MembershipLog::from_bytes(bytes);
-  // Tamper by rebuilding from edited serialization: flip a subject byte.
-  auto edited = bytes;
-  // find "mallory" and corrupt it
+  // The cloud edits the stored add in place: flip "mallory" to "Mallory".
+  auto& edited = chain.files.at(2);
   for (std::size_t i = 0; i + 7 <= edited.size(); ++i) {
     if (std::equal(edited.begin() + static_cast<std::ptrdiff_t>(i),
                    edited.begin() + static_cast<std::ptrdiff_t>(i + 7),
@@ -351,23 +363,24 @@ TEST(MembershipLogTest, AuditDetectsTampering) {
       break;
     }
   }
-  auto forged = MembershipLog::from_bytes(edited);
-  auto result = forged.audit(keys);
+  auto result = chain.audit(keys);
   EXPECT_FALSE(result.ok);
-  EXPECT_EQ(result.first_bad_index, 1u);
+  EXPECT_EQ(result.bad_seq, 2u);
 }
 
-TEST(MembershipLogTest, AuditDetectsUnknownSigner) {
+TEST(DeltaChainAudit, AuditDetectsUnknownSigner) {
   ibbe::crypto::Drbg rng(14);
   auto key = ibbe::pki::EcdsaKeyPair::generate(rng);
   auto rogue = ibbe::pki::EcdsaKeyPair::generate(rng);
-  MembershipLog log;
-  log.append(LogOp::create_group, "m=1", "a", key);
-  log.append(LogOp::add_user, "evil", "a", rogue);  // rogue-signed entry
+  DeltaChain chain;
+  chain.append({snapshot_op("m=1")}, "a", key);
+  chain.append({add_op("evil")}, "a", rogue);  // rogue-signed delta
+  chain.append({add_op("x")}, "a", key);
   std::vector<ibbe::ec::P256Point> keys = {key.public_key()};
-  auto result = log.audit(keys);
+  auto result = chain.audit(keys);
   EXPECT_FALSE(result.ok);
-  EXPECT_EQ(result.first_bad_index, 1u);
+  EXPECT_EQ(result.bad_seq, 2u);
+  EXPECT_NE(result.failure.find("signature"), std::string::npos);
 }
 
 TEST(AdminLogIntegration, EveryOperationIsLoggedAndAuditable) {
@@ -387,17 +400,21 @@ TEST(AdminLogIntegration, EveryOperationIsLoggedAndAuditable) {
   admin.remove_user("g", "user1");
   admin.add_user("g", "newbie");  // no-op: must NOT be logged
 
-  // The log is mirrored to the cloud and audits cleanly.
-  auto raw = cloud.get(ibbe::system::oplog_path("g"));
-  ASSERT_TRUE(raw.has_value());
-  auto log = MembershipLog::from_bytes(*raw);
-  EXPECT_EQ(log.size(), 3u);
-  std::vector<ibbe::ec::P256Point> keys = {key.public_key()};
-  EXPECT_TRUE(log.audit(keys).ok);
-  EXPECT_EQ(log.entries()[1].op, LogOp::add_user);
-  EXPECT_EQ(log.entries()[1].subject, "newbie");
-  EXPECT_EQ(log.entries()[2].op, LogOp::remove_user);
-  EXPECT_EQ(log.entries()[2].admin, "ops@example.com");
+  // The log is the delta chain on the cloud, and it audits cleanly.
+  EXPECT_TRUE(admin.audit_group_log("g").ok);
+  auto chain = ibbe::testutil::read_chain(cloud, "g");
+  ASSERT_EQ(chain.size(), 3u);
+  EXPECT_EQ(chain[0].prev_log_head, ibbe::system::Hash32{});  // genesis
+  ASSERT_EQ(chain[0].ops.size(), 1u);
+  EXPECT_EQ(chain[0].ops[0].kind, DeltaOp::Kind::snapshot);
+  EXPECT_EQ(chain[0].ops[0].user, "members=5");
+  ASSERT_EQ(chain[1].ops.size(), 1u);
+  EXPECT_EQ(chain[1].ops[0].kind, DeltaOp::Kind::add_member);
+  EXPECT_EQ(chain[1].ops[0].user, "newbie");
+  ASSERT_EQ(chain[2].ops.size(), 1u);
+  EXPECT_EQ(chain[2].ops[0].kind, DeltaOp::Kind::remove_member);
+  EXPECT_EQ(chain[2].ops[0].user, "user1");
+  EXPECT_EQ(chain[2].admin, "ops@example.com");
 }
 
 // ------------------------------------------------------- partition advisor

@@ -8,9 +8,11 @@
 //      recover in a fresh admin, and assert the group is EXACTLY in the
 //      pre-state or the post-state — never in between — with the full
 //      invariant set (every member decrypts one key, outsiders fail, the
-//      anchored op-log audit passes, no orphaned cloud files);
-//   3. regressions for the multi-admin op-log lost-update and for
-//      whole-suffix truncation of the audit log.
+//      anchored delta-chain audit passes, no orphaned cloud files), with the
+//      audit log retained and without;
+//   3. two-admin interleavings (no lost log entries, no clobbered delta, no
+//      peer's in-flight objects swept) and truncation / splice detection in
+//      the audit log.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -23,7 +25,7 @@
 #include "cloud/store.h"
 #include "system/admin.h"
 #include "system/client.h"
-#include "system/oplog.h"
+#include "log_util.h"
 #include "util/retry.h"
 
 namespace {
@@ -38,8 +40,10 @@ using ibbe::system::AdminApi;
 using ibbe::system::AdminConfig;
 using ibbe::system::ClientApi;
 using ibbe::system::GroupId;
-using ibbe::system::LogOp;
-using ibbe::system::MembershipLog;
+using ibbe::testutil::add_op;
+using ibbe::testutil::DeltaChain;
+using ibbe::testutil::expect_deltas_committed;
+using ibbe::testutil::snapshot_op;
 using ibbe::util::Bytes;
 using ibbe::util::RetryPolicy;
 
@@ -387,11 +391,12 @@ class CrashEnumeration : public ::testing::Test {
   }
 
   static std::unique_ptr<AdminApi> make_admin(CloudStore& store,
-                                              std::uint64_t seed) {
+                                              std::uint64_t seed,
+                                              bool log_operations) {
     AdminConfig config;
     config.partition_size = 3;
     config.repartitioning = true;
-    config.log_operations = true;
+    config.log_operations = log_operations;
     config.retry = RetryPolicy{}.without_delays();
     return std::make_unique<AdminApi>(*enclave_, store, *admin_key_, config,
                                       seed);
@@ -408,7 +413,8 @@ class CrashEnumeration : public ::testing::Test {
 
   /// Full invariant set against the REAL (inner) store through clean
   /// clients: one shared key for every member, failure for everyone else,
-  /// anchored audit ok, and not a single unreferenced file on the cloud.
+  /// anchored audit ok over committed delta files, and not a single
+  /// unreferenced file on the cloud.
   static void check_world(CloudStore& inner, const AdminApi& admin,
                           const GroupId& gid, const std::set<Identity>& members,
                           const std::vector<Identity>& universe) {
@@ -426,16 +432,24 @@ class CrashEnumeration : public ::testing::Test {
         EXPECT_FALSE(key.has_value()) << id << " can still decrypt";
       }
     }
-    auto audit = admin.audit_group_log(gid);
-    EXPECT_TRUE(audit.ok) << audit.failure;
-    // Exact cloud footprint: manifest + oplog + shards + cipher bundle +
-    // live overlays + retained deltas + the one live sealed gk. Anything
-    // else is an orphan the GC missed.
+    // Anchored audit, and every delta file holds committed bytes.
+    expect_deltas_committed(inner, admin, gid);
+    // Exact cloud footprint: manifest + shards + cipher bundle + live
+    // overlays + retained deltas + the one live sealed gk. Anything else is
+    // an orphan the GC missed.
     EXPECT_EQ(inner.list("groups/" + gid + "/").size(),
               admin.cloud_object_count(gid));
   }
 
+  /// Every crash point, with the audit log retained and without.
   static void run(const Scenario& sc) {
+    for (bool log : {true, false}) {
+      SCOPED_TRACE(log ? "log_operations on" : "log_operations off");
+      run(sc, log);
+    }
+  }
+
+  static void run(const Scenario& sc, bool log) {
     const GroupId gid = "g";
     auto universe = make_users(10);
     universe.push_back("joiner");
@@ -446,7 +460,7 @@ class CrashEnumeration : public ::testing::Test {
     {
       CloudStore inner;
       FaultInjectingStore faulty(inner, FaultPlan{});
-      auto admin = make_admin(faulty, seed);
+      auto admin = make_admin(faulty, seed, log);
       admin->create_group(gid, sc.initial);
       if (sc.prepare) sc.prepare(*admin, gid);
       ASSERT_EQ(membership(*admin, gid, universe), sc.pre);
@@ -464,7 +478,7 @@ class CrashEnumeration : public ::testing::Test {
       SCOPED_TRACE("crash before mutation " + std::to_string(k));
       CloudStore inner;
       FaultInjectingStore faulty(inner, FaultPlan{});
-      auto admin = make_admin(faulty, seed);
+      auto admin = make_admin(faulty, seed, log);
       admin->create_group(gid, sc.initial);
       if (sc.prepare) sc.prepare(*admin, gid);
 
@@ -479,7 +493,7 @@ class CrashEnumeration : public ::testing::Test {
       admin.reset();  // the process is gone
 
       // A fresh admin recovers from cloud state alone.
-      auto restarted = make_admin(faulty, seed + 999);
+      auto restarted = make_admin(faulty, seed + 999, log);
       bool exists = restarted->recover(gid);
       if (!exists) {
         // Only a crashed CREATION may leave no group; recovery must have
@@ -531,45 +545,48 @@ TEST_F(CrashEnumeration, CreateGroup) {
   // fixture's initial creation.
   const GroupId gid = "g";
   const auto universe = make_users(10);
-  std::uint64_t mutations = 0;
-  {
-    CloudStore inner;
-    FaultInjectingStore faulty(inner, FaultPlan{});
-    auto admin = make_admin(faulty, 1234);
-    sc.op(*admin, gid);
-    mutations = faulty.mutation_ops();
-    check_world(inner, *admin, gid, sc.post, universe);
-  }
-  ASSERT_GT(mutations, 0u);
-  SCOPED_TRACE("create: " + std::to_string(mutations) + " crash points");
-  for (std::uint64_t k = 1; k <= mutations; ++k) {
-    SCOPED_TRACE("crash before mutation " + std::to_string(k));
-    CloudStore inner;
-    FaultInjectingStore faulty(inner, FaultPlan{});
-    auto admin = make_admin(faulty, 1234);
-    faulty.arm_crash_after(k);
-    bool crashed = false;
-    try {
+  for (bool log : {true, false}) {
+    SCOPED_TRACE(log ? "log_operations on" : "log_operations off");
+    std::uint64_t mutations = 0;
+    {
+      CloudStore inner;
+      FaultInjectingStore faulty(inner, FaultPlan{});
+      auto admin = make_admin(faulty, 1234, log);
       sc.op(*admin, gid);
-    } catch (const CrashError&) {
-      crashed = true;
+      mutations = faulty.mutation_ops();
+      check_world(inner, *admin, gid, sc.post, universe);
     }
-    ASSERT_TRUE(crashed);
-    admin.reset();
+    ASSERT_GT(mutations, 0u);
+    SCOPED_TRACE("create: " + std::to_string(mutations) + " crash points");
+    for (std::uint64_t k = 1; k <= mutations; ++k) {
+      SCOPED_TRACE("crash before mutation " + std::to_string(k));
+      CloudStore inner;
+      FaultInjectingStore faulty(inner, FaultPlan{});
+      auto admin = make_admin(faulty, 1234, log);
+      faulty.arm_crash_after(k);
+      bool crashed = false;
+      try {
+        sc.op(*admin, gid);
+      } catch (const CrashError&) {
+        crashed = true;
+      }
+      ASSERT_TRUE(crashed);
+      admin.reset();
 
-    auto restarted = make_admin(faulty, 2233);
-    bool exists = restarted->recover(gid);
-    if (!exists) {
-      EXPECT_TRUE(inner.list("groups/" + gid + "/").empty());
-    } else {
-      ASSERT_EQ(membership(*restarted, gid, universe), sc.post);
-      check_world(inner, *restarted, gid, sc.post, universe);
-    }
+      auto restarted = make_admin(faulty, 2233, log);
+      bool exists = restarted->recover(gid);
+      if (!exists) {
+        EXPECT_TRUE(inner.list("groups/" + gid + "/").empty());
+      } else {
+        ASSERT_EQ(membership(*restarted, gid, universe), sc.post);
+        check_world(inner, *restarted, gid, sc.post, universe);
+      }
 
-    if (!exists) {
-      sc.op(*restarted, gid);
-      ASSERT_EQ(membership(*restarted, gid, universe), sc.post);
-      check_world(inner, *restarted, gid, sc.post, universe);
+      if (!exists) {
+        sc.op(*restarted, gid);
+        ASSERT_EQ(membership(*restarted, gid, universe), sc.post);
+        check_world(inner, *restarted, gid, sc.post, universe);
+      }
     }
   }
 }
@@ -660,65 +677,142 @@ TEST_F(CrashEnumeration, RemoveTriggersRepartition) {
   run(sc);
 }
 
-// --------------------------------------------- op-log lost-update regression
+// ------------------------------------------------ two-admin interleavings
 
-TEST(OpLogConcurrency, InterleavedAdminsLoseNoEntries) {
-  // Admin B is paused at the exact moment it publishes its op-log entry;
-  // admin A commits a full add in that window. With the seed's last-writer-
-  // wins put, B's rewrite would erase A's entry; the CAS-merge publication
-  // must keep both.
-  ibbe::sgx::EnclavePlatform platform("interleave-box");
-  ibbe::enclave::IbbeEnclave enclave(platform, 8);
-  CloudStore inner;
-  FaultInjectingStore faulty(inner, FaultPlan{});
-  ibbe::crypto::Drbg rng(31);
-  auto key_a = ibbe::pki::EcdsaKeyPair::generate(rng);
-  auto key_b = ibbe::pki::EcdsaKeyPair::generate(rng);
+/// Two administrators sharing group "g" (A created it, B synced) through a
+/// store whose write hook can pause B at any cloud write.
+struct TwoAdmins {
+  explicit TwoAdmins(bool log_operations)
+      : platform("interleave-box"),
+        enclave(platform, 8),
+        faulty(inner, FaultPlan{}),
+        rng(31),
+        key_a(ibbe::pki::EcdsaKeyPair::generate(rng)),
+        key_b(ibbe::pki::EcdsaKeyPair::generate(rng)),
+        admin_a(enclave, faulty, key_a,
+                config_for(1, "A", key_b, log_operations), 8),
+        admin_b(enclave, faulty, key_b,
+                config_for(2, "B", key_a, log_operations), 9) {
+    admin_a.create_group(gid, make_users(4));
+    admin_b.sync_from_cloud(gid);
+  }
 
-  auto config_for = [&](std::uint32_t nonce, const std::string& name,
-                        const ibbe::pki::EcdsaKeyPair& peer) {
+  static AdminConfig config_for(std::uint32_t nonce, const std::string& name,
+                                const ibbe::pki::EcdsaKeyPair& peer,
+                                bool log_operations) {
     AdminConfig config;
     config.partition_size = 3;
     config.multi_admin = true;
     config.admin_nonce = nonce;
     config.admin_name = name;
-    config.log_operations = true;
+    config.log_operations = log_operations;
     config.retry = RetryPolicy{}.without_delays();
     config.peer_verification_keys = {ibbe::ec::p256_to_bytes(peer.public_key())};
     return config;
-  };
-  AdminApi admin_a(enclave, faulty, key_a, config_for(1, "A", key_b), 8);
-  AdminApi admin_b(enclave, faulty, key_b, config_for(2, "B", key_a), 9);
+  }
 
-  const GroupId gid = "g";
-  admin_a.create_group(gid, make_users(4));
-  admin_b.sync_from_cloud(gid);
+  /// A client trusting both admins, reading the real store.
+  ClientApi client(const Identity& id) {
+    return ClientApi(inner, enclave.public_key(),
+                     enclave.ecall_extract_user_key(id),
+                     std::vector<ibbe::ec::P256Point>{key_a.public_key(),
+                                                      key_b.public_key()});
+  }
 
-  const std::string log_path = ibbe::system::oplog_path(gid);
+  /// Runs `interlude` inside the first cloud write whose path satisfies
+  /// `match`, and sets `fired`.
+  void pause_at(std::function<bool(const std::string&)> match,
+                std::function<void()> interlude) {
+    faulty.set_write_hook([this, match, interlude](const std::string& path) {
+      if (fired || !match(path)) return;
+      fired = true;
+      interlude();
+    });
+  }
+
+  ibbe::sgx::EnclavePlatform platform;
+  ibbe::enclave::IbbeEnclave enclave;
+  CloudStore inner;
+  FaultInjectingStore faulty;
+  ibbe::crypto::Drbg rng;
+  ibbe::pki::EcdsaKeyPair key_a;
+  ibbe::pki::EcdsaKeyPair key_b;
+  AdminApi admin_a;
+  AdminApi admin_b;
   bool fired = false;
-  faulty.set_write_hook([&](const std::string& path) {
-    if (fired || path != log_path) return;
-    fired = true;
-    admin_a.add_user(gid, "from-a");  // full commit inside B's window
-  });
-  admin_b.add_user(gid, "from-b");
-  ASSERT_TRUE(fired);
+  const GroupId gid = "g";
+};
 
-  // Both entries survived the interleaving.
-  auto raw = inner.get(log_path);
-  ASSERT_TRUE(raw.has_value());
-  auto log = MembershipLog::from_bytes(*raw);
+bool is_delta_write(const std::string& path) {
+  return path.rfind("groups/g/d", 0) == 0;
+}
+
+TEST(LogConcurrency, InterleavedAdminsLoseNoEntries) {
+  // Admin B is paused at the exact moment it writes its commit's delta file;
+  // admin A commits a full add in that window. B's CAS then loses, and its
+  // retry must chain onto A's commit: both adds end up in the one log.
+  TwoAdmins t(/*log_operations=*/true);
+  t.pause_at(is_delta_write, [&] { t.admin_a.add_user(t.gid, "from-a"); });
+  t.admin_b.add_user(t.gid, "from-b");
+  ASSERT_TRUE(t.fired);
+
   std::set<std::string> subjects;
-  for (const auto& e : log.entries()) subjects.insert(e.subject);
+  for (const auto& delta : ibbe::testutil::read_chain(t.inner, t.gid)) {
+    for (const auto& op : delta.ops) subjects.insert(op.user);
+  }
   EXPECT_TRUE(subjects.count("from-a")) << "admin A's entry was lost";
   EXPECT_TRUE(subjects.count("from-b")) << "admin B's entry was lost";
-  EXPECT_GE(admin_b.stats().cas_conflicts, 1u);
+  EXPECT_GE(t.admin_b.stats().cas_conflicts, 1u);
 
-  // And the merged log still audits cleanly from both sides.
-  EXPECT_TRUE(admin_a.audit_group_log(gid).ok);
-  EXPECT_TRUE(admin_b.audit_group_log(gid).ok);
-  EXPECT_TRUE(admin_b.is_member(gid, "from-a"));
-  EXPECT_TRUE(admin_b.is_member(gid, "from-b"));
+  // The chain audits cleanly from both sides, and no delta file holds a
+  // payload that never committed.
+  EXPECT_TRUE(t.admin_a.audit_group_log(t.gid).ok);
+  expect_deltas_committed(t.inner, t.admin_b, t.gid);
+  EXPECT_TRUE(t.admin_b.is_member(t.gid, "from-a"));
+  EXPECT_TRUE(t.admin_b.is_member(t.gid, "from-b"));
+}
+
+TEST(LogConcurrency, ClobberedDeltaInDefaultConfigStillFolds) {
+  // Default config (no retained log). A's joiner has a warm client cached at
+  // the creation commit. B is paused at its delta write while A commits the
+  // join. A delta name must never end up holding B's losing payload: the
+  // warm client folds A's commit and B's retry and finds itself a member.
+  TwoAdmins t(/*log_operations=*/false);
+  auto joiner = t.client("from-a");
+  ASSERT_EQ(joiner.fetch(t.gid).status, ClientApi::FetchStatus::not_member);
+
+  t.pause_at(is_delta_write, [&] { t.admin_a.add_user(t.gid, "from-a"); });
+  t.admin_b.add_user(t.gid, "from-b");
+  ASSERT_TRUE(t.fired);
+
+  auto result = joiner.fetch(t.gid);
+  ASSERT_EQ(result.status, ClientApi::FetchStatus::ok);
+  EXPECT_EQ(joiner.stats().fold_fallbacks, 0u);
+  EXPECT_EQ(joiner.stats().delta_folds, 2u);
+  EXPECT_EQ(result.key, t.client("from-b").fetch_group_key(t.gid));
+  expect_deltas_committed(t.inner, t.admin_b, t.gid);
+}
+
+TEST(MultiAdminGc, NoopSweepSparesAPeersInFlightCommit) {
+  // B is paused at its manifest CAS, its shard, overlay and delta written.
+  // A runs a no-op add (an existing member), whose path still sweeps. A's
+  // view does not reference B's in-flight objects — yet B's commit then
+  // lands and references them, so the sweep must leave them alone.
+  TwoAdmins t(/*log_operations=*/false);
+  const std::string index = ibbe::system::index_path(t.gid);
+  t.pause_at([&](const std::string& path) { return path == index; },
+             [&] { t.admin_a.add_user(t.gid, "u0"); });
+  t.admin_b.add_user(t.gid, "from-b");
+  ASSERT_TRUE(t.fired);
+  EXPECT_EQ(t.admin_b.stats().cas_conflicts, 0u);  // A committed nothing
+
+  EXPECT_NO_THROW(t.admin_a.sync_from_cloud(t.gid));
+  EXPECT_TRUE(t.admin_a.is_member(t.gid, "from-b"));
+  auto joiner = t.client("from-b");
+  auto key = joiner.fetch(t.gid);
+  ASSERT_EQ(key.status, ClientApi::FetchStatus::ok);
+  EXPECT_EQ(key.key, t.client("u0").fetch_group_key(t.gid));
+  expect_deltas_committed(t.inner, t.admin_a, t.gid);
 }
 
 // ------------------------------------------------- truncation detection
@@ -732,9 +826,9 @@ struct TruncationFixture : ::testing::Test {
               AdminConfig{.partition_size = 3,
                           .log_operations = true},
               /*seed=*/6) {
-    admin.create_group(gid, make_users(4));
-    admin.add_user(gid, "late");
-    admin.remove_user(gid, "u1");
+    admin.create_group(gid, make_users(4));  // d1
+    admin.add_user(gid, "late");             // d2
+    admin.remove_user(gid, "u1");            // d3, inside the manifest
   }
 
   ibbe::sgx::EnclavePlatform platform;
@@ -746,69 +840,74 @@ struct TruncationFixture : ::testing::Test {
 };
 
 TEST_F(TruncationFixture, SuffixTruncationIsInvisibleToChainButCaughtByAnchor) {
-  auto raw = cloud.get(ibbe::system::oplog_path(gid));
-  ASSERT_TRUE(raw.has_value());
-  auto log = MembershipLog::from_bytes(*raw);
-  ASSERT_EQ(log.size(), 3u);
+  ASSERT_EQ(cloud.list("groups/" + gid + "/d").size(), 2u);
+  auto d1 = cloud.get(ibbe::system::delta_path(gid, 1));
+  ASSERT_TRUE(d1.has_value());
 
-  // The cloud rolls the log back to its first two entries.
-  ibbe::util::ByteWriter w;
-  w.u32(2);
-  w.raw(log.entries()[0].to_bytes());
-  w.raw(log.entries()[1].to_bytes());
-  cloud.put(ibbe::system::oplog_path(gid), w.take());
+  // The cloud drops the newest delta file.
+  ASSERT_TRUE(cloud.erase(ibbe::system::delta_path(gid, 2)));
 
   // The shorter prefix is still a perfectly valid chain...
-  auto truncated = MembershipLog::from_bytes(*cloud.get(ibbe::system::oplog_path(gid)));
+  auto head1 = ibbe::system::IndexDelta::from_bytes(
+                   ibbe::system::SignedEnvelope::from_bytes(*d1).payload)
+                   .log_head();
   std::vector<ibbe::ec::P256Point> keys = {admin.verification_point()};
-  EXPECT_TRUE(truncated.audit(keys).ok);
+  EXPECT_TRUE(ibbe::system::audit_delta_chain(
+                  1, head1,
+                  [&](std::uint64_t seq) {
+                    return cloud.get(ibbe::system::delta_path(gid, seq));
+                  },
+                  keys)
+                  .ok);
 
-  // ...but the committed index anchors the removed head: the anchored audit
-  // must fail.
+  // ...but the committed manifest's attested head chains through the lost
+  // delta: the anchored audit must fail.
   auto audit = admin.audit_group_log(gid);
   EXPECT_FALSE(audit.ok);
   EXPECT_NE(audit.failure.find("truncated"), std::string::npos);
+  EXPECT_EQ(audit.bad_seq, 2u);
 }
 
 TEST_F(TruncationFixture, SplicedEntryStillFailsTheChainAudit) {
-  auto raw = cloud.get(ibbe::system::oplog_path(gid));
-  ASSERT_TRUE(raw.has_value());
-  auto log = MembershipLog::from_bytes(*raw);
+  const auto path = ibbe::system::delta_path(gid, 2);
+  auto env = ibbe::system::SignedEnvelope::from_bytes(*cloud.get(path));
+  auto delta = ibbe::system::IndexDelta::from_bytes(env.payload);
+  ASSERT_EQ(delta.ops.size(), 1u);
 
-  // The cloud rewrites one entry's subject in place.
-  ibbe::util::ByteWriter w;
-  w.u32(static_cast<std::uint32_t>(log.size()));
-  for (std::size_t i = 0; i < log.size(); ++i) {
-    auto entry = log.entries()[i];
-    if (i == 1) entry.subject = "mallory";
-    w.raw(entry.to_bytes());
-  }
-  cloud.put(ibbe::system::oplog_path(gid), w.take());
+  // The cloud rewrites one delta's subject in place, keeping its signature.
+  delta.ops[0].user = "mallory";
+  env.payload = delta.to_bytes();
+  cloud.put(path, env.to_bytes());
 
   auto audit = admin.audit_group_log(gid);
   EXPECT_FALSE(audit.ok);
+  EXPECT_EQ(audit.bad_seq, 2u);
 }
 
-TEST(OpLogAnchor, UncommittedTailAfterTheAnchorIsTolerated) {
+TEST(LogAnchor, DeltasAboveTheAnchorAreNeverConsulted) {
+  // No writer stores a delta above the committed head any more (a commit
+  // only copies out the delta its predecessor committed), but a Byzantine
+  // store may: the audit walks DOWN from the anchor and never reads it.
   ibbe::crypto::Drbg rng(77);
   auto key = ibbe::pki::EcdsaKeyPair::generate(rng);
-  MembershipLog log;
-  log.append(LogOp::create_group, "members=2", "solo", key);
-  log.append(LogOp::add_user, "x", "solo", key);
-  log.append(LogOp::add_user, "y", "solo", key);  // index CAS never landed
+  DeltaChain chain;
+  chain.append({snapshot_op("members=2")}, "solo", key);
+  chain.append({add_op("x")}, "solo", key);
+  chain.append({add_op("y")}, "solo", key);  // above the anchor below
+  chain.files[3] = Bytes{0xde, 0xad};        // and garbage at that
   std::vector<ibbe::ec::P256Point> keys = {key.public_key()};
 
-  auto anchor = log.entries()[1].hash;
-  EXPECT_TRUE(log.audit(keys, &anchor).ok);  // tail beyond the anchor is fine
+  auto anchored = ibbe::system::IndexDelta::from_bytes(
+                      ibbe::system::SignedEnvelope::from_bytes(chain.files[2])
+                          .payload)
+                      .log_head();
+  EXPECT_TRUE(chain.audit_from(2, anchored, keys).ok);
 
-  // A log that lost the anchored entry itself is truncated.
-  ibbe::util::ByteWriter w;
-  w.u32(2);
-  w.raw(log.entries()[0].to_bytes());
-  w.raw(log.entries()[1].to_bytes());
-  auto rolled_back = MembershipLog::from_bytes(w.take());
-  auto missing = log.entries()[2].hash;
-  EXPECT_FALSE(rolled_back.audit(keys, &missing).ok);
+  // A chain that lost the anchored delta itself is truncated.
+  chain.files.erase(2);
+  auto missing = chain.audit_from(2, anchored, keys);
+  EXPECT_FALSE(missing.ok);
+  EXPECT_EQ(missing.bad_seq, 2u);
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include "pki/cert.h"
 #include "sgx/enclave.h"
 #include "system/metadata.h"
-#include "system/oplog.h"
 
 namespace {
 
@@ -77,14 +76,49 @@ std::vector<Format> all_formats() {
                      [](auto d) { (void)ibbe::pki::EcdsaSignature::from_bytes(d); }});
 
   // System metadata formats (sharded manifest layout).
+  auto admin_env = [&](const Bytes& payload) {
+    return ibbe::system::SignedEnvelope::sign(admin_key, payload).to_bytes();
+  };
+  ibbe::system::IndexDelta delta;
+  delta.seq = 6;
+  delta.admin = "admin";
+  ibbe::system::DeltaOp add;
+  add.kind = ibbe::system::DeltaOp::Kind::add_member;
+  add.user = "d";
+  add.pid = 3;
+  ibbe::system::DeltaOp repart;
+  repart.kind = ibbe::system::DeltaOp::Kind::repartition;
+  repart.dropped = {3, 4};
+  repart.created = {{5, users}};
+  delta.ops = {add, repart};
+  // A creation / full re-partition barrier: the removal that triggered it
+  // plus the snapshot op.
+  ibbe::system::IndexDelta barrier;
+  barrier.seq = 7;
+  barrier.prev_log_head = delta.log_head();
+  barrier.admin = "admin";
+  ibbe::system::DeltaOp removal;
+  removal.kind = ibbe::system::DeltaOp::Kind::remove_member;
+  removal.user = "d";
+  removal.pid = 5;
+  ibbe::system::DeltaOp snapshot;
+  snapshot.kind = ibbe::system::DeltaOp::Kind::snapshot;
+  snapshot.user = "partition_size=3";
+  barrier.ops = {removal, snapshot};
+
   ibbe::system::GroupManifest manifest;
   manifest.shards = {{7, {}}, {9, {}}};
   manifest.cipher_set = 11;
   manifest.overlays = {{3, 12}};
   manifest.gk_epoch = 2;
   manifest.delta_base = 5;
+  manifest.delta = admin_env(barrier.to_bytes());  // its embedded delta
   formats.push_back({"GroupManifest", manifest.to_bytes(), [](auto d) {
                        (void)ibbe::system::GroupManifest::from_bytes(d);
+                     }});
+  formats.push_back({"GroupManifest+delta", manifest.to_bytes(), [](auto d) {
+                       (void)ibbe::system::GroupManifest::from_bytes(d)
+                           .head_delta();
                      }});
   ibbe::system::IndexShard shard;
   shard.sid = 7;
@@ -103,29 +137,15 @@ std::vector<Format> all_formats() {
   formats.push_back({"CipherOverlay", overlay.to_bytes(), [](auto d) {
                        (void)ibbe::system::CipherOverlay::from_bytes(d);
                      }});
-  ibbe::system::IndexDelta delta;
-  delta.seq = 6;
-  ibbe::system::DeltaOp add;
-  add.kind = ibbe::system::DeltaOp::Kind::add_member;
-  add.user = "d";
-  add.pid = 3;
-  ibbe::system::DeltaOp repart;
-  repart.kind = ibbe::system::DeltaOp::Kind::repartition;
-  repart.dropped = {3, 4};
-  repart.created = {{5, users}};
-  delta.ops = {add, repart};
   formats.push_back({"IndexDelta", delta.to_bytes(), [](auto d) {
+                       (void)ibbe::system::IndexDelta::from_bytes(d);
+                     }});
+  formats.push_back({"IndexDelta(barrier)", barrier.to_bytes(), [](auto d) {
                        (void)ibbe::system::IndexDelta::from_bytes(d);
                      }});
   auto env = ibbe::system::SignedEnvelope::sign(admin_key, Bytes(40, 9));
   formats.push_back({"SignedEnvelope", env.to_bytes(), [](auto d) {
                        (void)ibbe::system::SignedEnvelope::from_bytes(d);
-                     }});
-  ibbe::system::MembershipLog log;
-  log.append(ibbe::system::LogOp::create_group, "m=3", "admin", admin_key);
-  log.append(ibbe::system::LogOp::add_user, "d", "admin", admin_key);
-  formats.push_back({"MembershipLog", log.to_bytes(), [](auto d) {
-                       (void)ibbe::system::MembershipLog::from_bytes(d);
                      }});
   return formats;
 }
@@ -216,13 +236,14 @@ TEST(FuzzDeserialize, HostileCountFieldsDoNotAllocate) {
   Bytes bundle_bomb = bomb({0xff, 0xff, 0xff, 0xff});
   EXPECT_THROW(ibbe::system::CipherBundle::from_bytes(bundle_bomb),
                DeserializeError);
-  // IndexDelta: header, then op count 0xFFFFFFFF.
-  Bytes delta_bomb(8 + 32 + 32, 0);
+  // IndexDelta: header (seq, prev head, empty admin), then op count
+  // 0xFFFFFFFF.
+  Bytes delta_bomb(8 + 32 + 4, 0);
   delta_bomb.insert(delta_bomb.end(), {0xff, 0xff, 0xff, 0xff});
   EXPECT_THROW(ibbe::system::IndexDelta::from_bytes(delta_bomb),
                DeserializeError);
   // IndexDelta: one repartition op whose dropped-pid count is the bomb.
-  Bytes repart_bomb(8 + 32 + 32, 0);
+  Bytes repart_bomb(8 + 32 + 4, 0);
   repart_bomb.insert(repart_bomb.end(), {0, 0, 0, 1});  // 1 op
   repart_bomb.push_back(3);                             // kind: repartition
   repart_bomb.insert(repart_bomb.end(), {0xff, 0xff, 0xff, 0xff});

@@ -120,7 +120,8 @@ std::vector<SchemeFactory> factories() {
        },
        24, 2},
       // The BYZANTINE stack: a MaliciousStore replays whole rolled-back
-      // generations, withholds op-log tails and equivocates on single files,
+      // generations, withholds delta-chain tails and equivocates on single
+      // files,
       // with the fail-stop tier layered on top. Freshness-verifying,
       // gossiping clients and the enclave-anchored admin are STILL held to
       // the identical fault-free oracle: a bounded-window attack may cost

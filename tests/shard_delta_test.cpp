@@ -2,7 +2,10 @@
 // layout): warm clients fold signed deltas instead of re-downloading the
 // index, every fold failure degrades into the snapshot path (never a parse
 // error or a wrong view), and the CachedIndex fold primitive rejects
-// replays, gaps and structurally inconsistent deltas by construction.
+// replays, gaps, snapshot barriers and structurally inconsistent deltas by
+// construction. The delta chain doubles as the audit log: a splice across
+// it fails the audit, and with the log retained an admin's upload per op
+// stays flat however long the history grows.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -112,7 +115,9 @@ TEST_F(ShardDeltaFixture, DeltaGapFallsBackToSnapshot) {
   ASSERT_TRUE(c.fetch_group_key(gid).has_value());
 
   for (int i = 0; i < 3; ++i) admin.add_user(gid, "j" + std::to_string(i));
-  EXPECT_EQ(delta_files(cloud, gid).size(), 2u);  // window enforced by GC
+  // Window enforced by GC: the newest delta rides in the manifest, the other
+  // retained one is a file.
+  EXPECT_EQ(delta_files(cloud, gid).size(), 1u);
 
   auto key = c.fetch_group_key(gid);
   ASSERT_TRUE(key.has_value());
@@ -175,17 +180,17 @@ TEST_F(ShardDeltaFixture, NonAdminSignedDeltaForcesSnapshot) {
   admin.add_user(gid, "x");
   admin.add_user(gid, "y");
   auto deltas = delta_files(cloud, gid);
-  ASSERT_EQ(deltas.size(), 2u);
+  ASSERT_EQ(deltas.size(), 2u);  // the creation's and x's; y's is embedded
 
-  // A rogue (non-admin) key re-signs the FIRST delta's genuine payload. The
-  // manifest's delta_hash only pins the newest delta; the older one is
-  // caught by the per-delta signature check while folding.
-  auto stored = cloud.get(deltas[0].second);
+  // A rogue (non-admin) key re-signs x's genuine payload — the one delta
+  // the warm client must fold from a file (y's rides in the signed
+  // manifest). The per-delta signature check catches it while folding.
+  auto stored = cloud.get(deltas.back().second);
   ASSERT_TRUE(stored.has_value());
   auto env = SignedEnvelope::from_bytes(*stored);
   ibbe::crypto::Drbg rogue_rng(99);
   auto rogue = ibbe::pki::EcdsaKeyPair::generate(rogue_rng);
-  (void)cloud.put(deltas[0].second,
+  (void)cloud.put(deltas.back().second,
                   SignedEnvelope::sign(rogue, env.payload).to_bytes());
 
   auto fails_before = c.stats().signature_failures;
@@ -206,12 +211,14 @@ TEST_F(ShardDeltaFixture, TornDeltaReadDegradesToSnapshot) {
   ASSERT_TRUE(c.fetch_group_key(gid).has_value());
 
   admin.add_user(gid, "x");
+  admin.add_user(gid, "y");
   auto deltas = delta_files(inner, gid);
-  ASSERT_EQ(deltas.size(), 1u);
+  ASSERT_EQ(deltas.size(), 2u);
 
-  // A lagging replica serves the committed manifest but not the delta it
-  // references: the fold degrades to a snapshot, it does not error.
-  faulty.withhold_path(deltas[0].second);
+  // A lagging replica serves the committed manifest but not x's delta, which
+  // its chain runs through: the fold degrades to a snapshot, it does not
+  // error.
+  faulty.withhold_path(deltas.back().second);
   auto key = c.fetch_group_key(gid);
   ASSERT_TRUE(key.has_value());
   EXPECT_EQ(c.stats().fold_fallbacks, 1u);
@@ -261,7 +268,6 @@ TEST(CachedIndexFold, ReplayedOrDuplicatedDeltaIsNoOp) {
   IndexDelta d;
   d.seq = 6;
   d.prev_log_head.fill(0x11);
-  d.log_head.fill(0x22);
   DeltaOp add;
   add.kind = DeltaOp::Kind::add_member;
   add.user = "c";
@@ -270,6 +276,7 @@ TEST(CachedIndexFold, ReplayedOrDuplicatedDeltaIsNoOp) {
 
   ASSERT_TRUE(view.apply(d));
   EXPECT_EQ(view.counter, 6u);
+  EXPECT_EQ(view.log_head, d.log_head());
   EXPECT_EQ(view.member_count(), 3u);
   EXPECT_EQ(view.find_user("c"), std::optional<std::uint64_t>(1));
 
@@ -282,7 +289,7 @@ TEST(CachedIndexFold, ReplayedOrDuplicatedDeltaIsNoOp) {
   // A gap (seq jumps ahead) is rejected too.
   IndexDelta gap = d;
   gap.seq = 8;
-  gap.prev_log_head = d.log_head;
+  gap.prev_log_head = d.log_head();
   EXPECT_FALSE(view.apply(gap));
 
   // Right seq but the wrong chain (spliced from another history).
@@ -316,6 +323,16 @@ TEST(CachedIndexFold, StructurallyInconsistentDeltaIsRejected) {
   d.ops = {repart};
   EXPECT_FALSE(view.apply(d));
   EXPECT_EQ(view.counter, 1u);
+
+  // A snapshot barrier (creation, full re-partition) never folds: only a
+  // full snapshot crosses it.
+  DeltaOp barrier;
+  barrier.kind = DeltaOp::Kind::snapshot;
+  barrier.user = "partition_size=3";
+  d.ops = {barrier};
+  EXPECT_FALSE(view.apply(d));
+  EXPECT_EQ(view.counter, 1u);
+  EXPECT_EQ(view.member_count(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -327,21 +344,25 @@ TEST_F(ShardDeltaFixture, AuditCatchesLogSpliceAcrossDeltaChain) {
   auto admin = admin_on(cloud, {.partition_size = 3, .log_operations = true});
   admin.create_group(gid, make_users(6));
   admin.add_user(gid, "x");
-  ASSERT_TRUE(admin.audit_group_log(gid).ok);
-
-  // Snapshot the op-log mid-chain, land one more delta commit (whose
-  // manifest anchors the new log head), then roll the cloud's op-log back to
-  // the snapshot. The log alone is a perfectly valid chain — only the
-  // anchor the delta-carrying manifest committed exposes the splice.
-  auto old_log = cloud.get("groups/" + gid + "/oplog");
-  ASSERT_TRUE(old_log.has_value());
   admin.remove_user(gid, "user1");
   ASSERT_TRUE(admin.audit_group_log(gid).ok);
 
-  (void)cloud.put("groups/" + gid + "/oplog", *old_log);
+  // A parallel history by the SAME admin: another group whose deltas carry
+  // the same sequence numbers and perfectly valid signatures. Splicing its
+  // d2 into this group's chain passes every per-delta check — only the head
+  // the committed manifest attests exposes the splice.
+  admin.create_group("other", make_users(6));
+  admin.add_user("other", "y");
+  admin.remove_user("other", "user2");
+  auto foreign = cloud.get(ibbe::system::delta_path("other", 2));
+  ASSERT_TRUE(foreign.has_value());
+  ASSERT_TRUE(admin.audit_group_log("other").ok);
+
+  (void)cloud.put(ibbe::system::delta_path(gid, 2), *foreign);
   auto audit = admin.audit_group_log(gid);
   EXPECT_FALSE(audit.ok);
-  EXPECT_FALSE(audit.failure.empty());
+  EXPECT_NE(audit.failure.find("chain"), std::string::npos) << audit.failure;
+  EXPECT_EQ(audit.bad_seq, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -409,6 +430,37 @@ TEST_F(ShardDeltaFixture, MutationUploadsSameObjectCountRegardlessOfScale) {
   auto big_add = puts() - p1 - small_add;
   EXPECT_EQ(small_add, big_add);
   EXPECT_LE(small_add, small_remove);  // adds skip the bundle + gk rewrite
+}
+
+TEST_F(ShardDeltaFixture, AuditedMutationUploadsStayFlatOverLongHistory) {
+  // The audit log costs O(1) upload per op: with the whole chain retained,
+  // an add at op ~2,000 uploads within 1.1x of an add at op ~500. The group
+  // is churned add/remove so its state, and with it every object an add
+  // rewrites, is the same at both points; only the history differs.
+  ibbe::cloud::CloudStore cloud;
+  auto admin = admin_on(cloud, {.partition_size = 8,
+                                .repartitioning = false,
+                                .log_operations = true});
+  admin.create_group(gid, make_users(4));
+
+  auto add_upload = [&](int i) {
+    auto before = cloud.stats().bytes_uploaded;
+    admin.add_user(gid, "churn" + std::to_string(i));
+    return cloud.stats().bytes_uploaded - before;
+  };
+  std::uint64_t early = 0;
+  std::uint64_t late = 0;
+  for (int i = 1000; i < 2000; ++i) {  // equal-length ids at every op
+    auto bytes = add_upload(i);
+    if (i == 1250) early = bytes;  // op ~500
+    if (i == 1999) late = bytes;   // op ~2,000
+    admin.remove_user(gid, "churn" + std::to_string(i));
+  }
+  ASSERT_GT(early, 0u);
+  EXPECT_LE(static_cast<double>(late), 1.1 * static_cast<double>(early))
+      << "add at op ~500 uploads " << early << " B, at op ~2,000 " << late
+      << " B";
+  EXPECT_TRUE(admin.audit_group_log(gid).ok);
 }
 
 }  // namespace
