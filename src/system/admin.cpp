@@ -137,9 +137,7 @@ void AdminApi::rewrite_shard(const GroupId& gid, GroupState& state,
 void AdminApi::write_bundle(const GroupId& gid, GroupState& state) {
   CipherBundle bundle;
   bundle.entries.reserve(state.partitions.size());
-  for (const auto& p : state.partitions) {
-    bundle.entries.emplace_back(p.id, p.cipher);
-  }
+  for (const auto& p : state.partitions) bundle.add(p.id, p.cipher);
   auto id = fresh_object_id(state);
   auto env = SignedEnvelope::sign(signing_key_, bundle.to_bytes());
   auto bytes = env.to_bytes();
@@ -467,8 +465,8 @@ void AdminApi::sync_from_cloud(const GroupId& gid) {
   for (auto& p : state.partitions) {
     if (auto it = overlay_ciphers.find(p.id); it != overlay_ciphers.end()) {
       p.cipher = std::move(it->second);
-    } else if (const auto* c = bundle.find(p.id)) {
-      p.cipher = *c;
+    } else if (auto c = bundle.find(p.id)) {
+      p.cipher = std::move(*c);
     } else {
       throw cloud::TransientError("sync_from_cloud: partition cipher missing");
     }
@@ -1137,9 +1135,7 @@ std::size_t AdminApi::metadata_size(const GroupId& gid) const {
     total += rec.to_bytes().size() + env_overhead;
   }
   CipherBundle bundle;
-  for (const auto& p : state.partitions) {
-    bundle.entries.emplace_back(p.id, p.cipher);
-  }
+  for (const auto& p : state.partitions) bundle.add(p.id, p.cipher);
   total += bundle.to_bytes().size() + env_overhead;
   for (const auto& [pid, oid] : state.overlays) {
     CipherOverlay overlay;

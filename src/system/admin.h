@@ -37,7 +37,8 @@
 // Extensions beyond the paper's evaluation (its §VIII future work):
 //   * batch revocation: remove_users() rotates gk once per batch;
 //   * multi-administrator mode: CAS-protected manifest updates with cache
-//     re-sync and retry (config.multi_admin);
+//     re-sync and retry (always on; config.admin_nonce keeps admins' ids
+//     apart);
 //   * dynamic partition sizing: re-partitioning picks the size a cost model
 //     recommends for the observed workload (config.adaptive_partitioning);
 //   * a hash-chained signed membership log for auditing: the delta chain
@@ -75,11 +76,9 @@ struct AdminConfig {
   util::RetryPolicy retry;
 
   // ---- multi-administrator extension ----
-  /// Enables lock-free concurrent administration: manifest updates go
-  /// through compare-and-swap, conflicts trigger a cache re-sync and retry,
-  /// and the sealed group key is mirrored to the cloud so peers can pick it
-  /// up.
-  bool multi_admin = false;
+  // Manifest updates always go through compare-and-swap, conflicts trigger a
+  // cache re-sync and retry, and the sealed group key is mirrored to the
+  // cloud so peers can pick it up.
   /// Distinguishes this administrator's partition/object ids and gk epochs
   /// (high 32 bits) so concurrent creations never collide.
   std::uint32_t admin_nonce = 0;

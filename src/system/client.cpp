@@ -40,6 +40,7 @@ std::optional<util::Bytes> ClientApi::last_key(const GroupId& gid) const {
 void ClientApi::invalidate_caches(const GroupId& gid) {
   cache_.erase(gid);
   cipher_cache_.erase(gid);
+  prepared_.erase(gid);
 }
 
 std::vector<FreshnessObservation> ClientApi::read_gossip(
@@ -227,13 +228,21 @@ CachedIndex* ClientApi::refresh_view(const GroupId& gid,
       return &view;  // warm: same commit, zero index bytes downloaded
     }
     // Fold only when every missing commit's delta is still retained
-    // (cache at counter c needs d<c+1>..d<counter>, so c+1 >= delta_base).
+    // (cache at counter c needs d<c+1>..d<counter>, so c+1 >= delta_base)
+    // and folding costs no more round trips than a snapshot: gap-1 delta
+    // GETs (the newest delta rides in the manifest) against one GET per
+    // shard. The second bound does not depend on retention, so a client far
+    // behind an audited group, whose chain is kept from genesis, does not
+    // replay the whole history.
     if (view.counter < m.freshness.counter &&
-        view.counter + 1 >= m.delta_base && fold_deltas(gid, m, view)) {
+        view.counter + 1 >= m.delta_base &&
+        m.freshness.counter - view.counter - 1 <= m.shards.size() &&
+        fold_deltas(gid, m, view)) {
       return &view;
     }
-    // Gap, chain break, bad signature, or a snapshot barrier: discard the
-    // cache and take the snapshot path. Safe — just slower.
+    // Gap, a fold dearer than the snapshot, chain break, bad signature, or a
+    // snapshot barrier: discard the cache and take the snapshot path. Safe —
+    // just slower.
     ++stats_.fold_fallbacks;
     cache_.erase(it);
   }
@@ -288,17 +297,50 @@ const enclave::PartitionCiphertext* ClientApi::get_cipher(
         ++stats_.signature_failures;
         return nullptr;
       }
+      // The signature covers the whole payload; the parse is structural
+      // and the entries stay undecoded until looked up.
       cc.bundle = CipherBundle::from_bytes(env.payload);
     } catch (const util::DeserializeError&) {
       ++stats_.signature_failures;
       return nullptr;
     }
     cc.bundle_path = path;
+    cc.own.reset();
     // A fresh bundle means a rotation: every previous-epoch overlay is
     // superseded, so their cache entries can only go stale from here.
     cc.overlays.clear();
   }
-  return cc.bundle.find(pid);
+  if (!cc.own || cc.own->first != pid) {
+    std::optional<enclave::PartitionCiphertext> cipher;
+    try {
+      cipher = cc.bundle.find(pid);
+    } catch (const util::DeserializeError&) {
+      // Signed but undecodable (bad point bytes): as worthless as an
+      // unverifiable envelope. Other partitions' entries are unaffected.
+      ++stats_.signature_failures;
+      return nullptr;
+    }
+    if (!cipher) return nullptr;  // torn: the bundle lacks a live partition
+    cc.own.emplace(pid, std::move(*cipher));
+  }
+  return &cc.own->second;
+}
+
+const core::PreparedPartition* ClientApi::prepared_partition(
+    const GroupId& gid, PartitionId pid,
+    const std::vector<core::Identity>& members) {
+  auto it = prepared_.find(gid);
+  if (it != prepared_.end() && it->second.pid == pid &&
+      it->second.members == members) {
+    return &it->second.part;  // re-key under an unchanged membership
+  }
+  auto part = core::PreparedPartition::prepare(pk_, usk_, members);
+  if (!part) return nullptr;
+  ++stats_.partition_prepares;
+  return &prepared_
+              .insert_or_assign(gid,
+                                PreparedCache{pid, members, std::move(*part)})
+              .first->second.part;
 }
 
 ClientApi::Fetch ClientApi::fetch_once(const GroupId& gid, util::Bytes& key,
@@ -353,20 +395,22 @@ ClientApi::Fetch ClientApi::fetch_once(const GroupId& gid, util::Bytes& key,
   const auto* members = view->members_of(*slot);
   if (!members) return Fetch::degraded;  // cannot happen on a consistent view
 
-  ++stats_.decryptions;
-  auto bk = core::decrypt(pk_, usk_, *members, cipher->ct);
-  if (!bk) {
-    // The index lists us but the ciphertext excludes us: a cross-file torn
-    // snapshot. Drop the caches so the retry rebuilds from scratch — a
-    // consistent view will tell us which side is true.
+  const auto* prepared = prepared_partition(gid, *slot, *members);
+  if (!prepared) {
+    // The partition exceeds the PK bound: no consistent view lists it.
     invalidate_caches(gid);
     return Fetch::degraded;
   }
-  crypto::Aes256Gcm gcm(bk->hash());
+  ++stats_.decryptions;
+  auto bk = core::decrypt(*prepared, cipher->ct);
+  crypto::Aes256Gcm gcm(bk.hash());
   auto gk = gcm.open(cipher->nonce, cipher->wrapped_gk);
   if (!gk) {
+    // The index lists us but the ciphertext was made for another member
+    // set: a cross-file torn snapshot. Drop the caches so the retry rebuilds
+    // from scratch — a consistent view will tell us which side is true.
     invalidate_caches(gid);
-    return Fetch::degraded;  // same torn-snapshot reasoning
+    return Fetch::degraded;
   }
   note_fresh_view(gid, manifest.freshness);
   key = std::move(*gk);

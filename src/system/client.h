@@ -5,8 +5,13 @@
 // entirely from public cloud metadata:
 //
 //   manifest -> my partition (cached index) -> partition ciphertext
-//            -> IBBE decrypt bk (O(|p|^2) + 2 pairings)
-//            -> gk = AES-GCM-open(SHA-256(bk), y_p)
+//            -> IBBE decrypt bk -> gk = AES-GCM-open(SHA-256(bk), y_p)
+//
+// A fetch pays for its own partition only: the bundle's signature is checked
+// over the whole payload but only this client's entry is decoded, and the
+// O(|p|^2) expansion + MSM of the decrypt is prepared once per membership of
+// the partition (core::PreparedPartition), so a re-key costs one G2 line
+// table, a 2-pair multi-pairing and the GT tail.
 //
 // The membership index is sharded (metadata.h): the manifest pins each
 // shard's content hash, and every commit publishes a signed incremental
@@ -75,6 +80,7 @@ struct ClientStats {
   std::uint64_t freshness_rejections = 0; // views below the freshness HWM
   std::uint64_t forks_detected = 0;       // equal-counter divergent views
   std::uint64_t gossip_rounds = 0;        // observation scans performed
+  std::uint64_t partition_prepares = 0;   // own-partition decrypt preparations
 };
 
 class ClientApi {
@@ -178,14 +184,21 @@ class ClientApi {
   bool load_snapshot(const GroupId& gid, const GroupManifest& m,
                      CachedIndex& view);
   /// The partition's current ciphertext: the manifest's overlay if one is
-  /// live for `pid`, else the bundle entry. Caches by object path (objects
-  /// are copy-on-write, so a path's content never changes). nullptr on a
-  /// torn or unauthenticated read.
+  /// live for `pid`, else the bundle entry — the only entry of the bundle
+  /// ever decoded. Caches by object path (objects are copy-on-write, so a
+  /// path's content never changes). nullptr on a torn, unauthenticated or
+  /// undecodable read.
   const enclave::PartitionCiphertext* get_cipher(const GroupId& gid,
                                                  const GroupManifest& m,
                                                  PartitionId pid);
-  /// Drops the group's index + cipher caches (cross-file torn snapshot: the
-  /// next attempt rebuilds from scratch).
+  /// The prepared decrypt of partition `pid` with member list `members`:
+  /// reused while both match the cached one, prepared afresh otherwise.
+  /// nullptr when this user is not in `members` or it exceeds the PK bound.
+  const core::PreparedPartition* prepared_partition(
+      const GroupId& gid, PartitionId pid,
+      const std::vector<core::Identity>& members);
+  /// Drops the group's index, cipher and prepared-partition caches
+  /// (cross-file torn snapshot: the next attempt rebuilds from scratch).
   void invalidate_caches(const GroupId& gid);
 
   /// Freshness-token checks + gossip cross-check for an authenticated
@@ -221,12 +234,23 @@ class ClientApi {
   std::map<GroupId, CachedIndex> cache_;
   struct CipherCache {
     std::string bundle_path;  // which bundle object `bundle` was parsed from
-    CipherBundle bundle;
+    CipherBundle bundle;      // its entries, still undecoded
+    // The one bundle entry decoded: this client's own partition.
+    std::optional<std::pair<PartitionId, enclave::PartitionCiphertext>> own;
     // overlay object path -> ciphertext; cleared when the bundle rotates
     // (a rotation supersedes every overlay of the previous epoch).
     std::map<std::string, enclave::PartitionCiphertext> overlays;
   };
   std::map<GroupId, CipherCache> cipher_cache_;
+  // The own partition's prepared decrypt (expansion, MSM, line table): a
+  // re-key changes only the ciphertext, so it is reused until the
+  // partition's member list changes.
+  struct PreparedCache {
+    PartitionId pid = 0;
+    std::vector<core::Identity> members;
+    core::PreparedPartition part;
+  };
+  std::map<GroupId, PreparedCache> prepared_;
 
   // ---- Byzantine defence state (inert until enable_freshness) ----
   struct FreshnessHwm {

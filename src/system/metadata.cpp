@@ -160,32 +160,39 @@ IndexShard IndexShard::from_bytes(std::span<const std::uint8_t> data) {
 
 // ------------------------------------------------------------ CipherBundle
 
-const enclave::PartitionCiphertext* CipherBundle::find(PartitionId pid) const {
-  for (const auto& [id, cipher] : entries) {
-    if (id == pid) return &cipher;
+void CipherBundle::add(PartitionId pid,
+                       const enclave::PartitionCiphertext& cipher) {
+  entries.emplace_back(pid, cipher.to_bytes());
+}
+
+std::optional<enclave::PartitionCiphertext> CipherBundle::find(
+    PartitionId pid) const {
+  for (const auto& [id, raw] : entries) {
+    if (id == pid) return enclave::PartitionCiphertext::from_bytes(raw);
   }
-  return nullptr;
+  return std::nullopt;
 }
 
 util::Bytes CipherBundle::to_bytes() const {
   util::ByteWriter w;
   w.u32(static_cast<std::uint32_t>(entries.size()));
-  for (const auto& [pid, cipher] : entries) {
+  for (const auto& [pid, raw] : entries) {
     w.u64(pid);
-    w.blob(cipher.to_bytes());
+    w.blob(raw);
   }
   return w.take();
 }
 
 CipherBundle CipherBundle::from_bytes(std::span<const std::uint8_t> data) {
+  // Structure only: the entries' points are validated when find() decodes
+  // them.
   util::ByteReader r(data);
   CipherBundle bundle;
   std::size_t n = r.count(12);  // u64 pid + u32 blob prefix each
   bundle.entries.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     auto pid = r.u64();
-    bundle.entries.emplace_back(
-        pid, enclave::PartitionCiphertext::from_bytes(r.blob()));
+    bundle.entries.emplace_back(pid, r.blob());
   }
   r.expect_end();
   return bundle;

@@ -126,10 +126,21 @@ struct IndexShard {
 /// Every partition's ciphertext + wrapped gk for one key epoch. Rewritten as
 /// a single object per gk rotation — the reason a million-member revocation
 /// uploads O(1) objects instead of one per partition.
+///
+/// Entries are held as their wire bytes: from_bytes parses only the
+/// structure (clamped entry count, each pid and entry blob), and find()
+/// decodes — with full G1/G2 on-curve and subgroup validation — just the
+/// entry asked for. A reader pays for its own partition, not for every
+/// partition of the group.
 struct CipherBundle {
-  std::vector<std::pair<PartitionId, enclave::PartitionCiphertext>> entries;
+  /// pid -> PartitionCiphertext::to_bytes() of that partition.
+  std::vector<std::pair<PartitionId, util::Bytes>> entries;
 
-  [[nodiscard]] const enclave::PartitionCiphertext* find(PartitionId pid) const;
+  void add(PartitionId pid, const enclave::PartitionCiphertext& cipher);
+  /// Decodes the entry of `pid` (the first, if repeated); std::nullopt if
+  /// the bundle has none. Throws util::DeserializeError on a malformed entry.
+  [[nodiscard]] std::optional<enclave::PartitionCiphertext> find(
+      PartitionId pid) const;
 
   [[nodiscard]] util::Bytes to_bytes() const;
   static CipherBundle from_bytes(std::span<const std::uint8_t> data);

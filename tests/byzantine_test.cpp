@@ -354,7 +354,6 @@ void detect_fork_within_one_poll_round(bool log_operations) {
                         const ibbe::pki::EcdsaKeyPair& peer) {
     AdminConfig config;
     config.partition_size = 3;
-    config.multi_admin = true;
     config.admin_nonce = nonce;
     config.admin_name = name;
     config.log_operations = log_operations;

@@ -702,7 +702,6 @@ struct TwoAdmins {
                                 bool log_operations) {
     AdminConfig config;
     config.partition_size = 3;
-    config.multi_admin = true;
     config.admin_nonce = nonce;
     config.admin_name = name;
     config.log_operations = log_operations;

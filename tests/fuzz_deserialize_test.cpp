@@ -127,9 +127,15 @@ std::vector<Format> all_formats() {
                        (void)ibbe::system::IndexShard::from_bytes(d);
                      }});
   ibbe::system::CipherBundle bundle;
-  bundle.entries = {{3, group.partitions[0]}};
+  bundle.add(3, group.partitions[0]);
   formats.push_back({"CipherBundle", bundle.to_bytes(), [](auto d) {
-                       (void)ibbe::system::CipherBundle::from_bytes(d);
+                       // from_bytes is structural only; decode every entry
+                       // too so malformed points inside entries stay swept.
+                       auto b = ibbe::system::CipherBundle::from_bytes(d);
+                       for (const auto& [pid, raw] : b.entries) {
+                         (void)ibbe::enclave::PartitionCiphertext::from_bytes(
+                             raw);
+                       }
                      }});
   ibbe::system::CipherOverlay overlay;
   overlay.pid = 3;

@@ -5,7 +5,9 @@
 // replays, gaps, snapshot barriers and structurally inconsistent deltas by
 // construction. The delta chain doubles as the audit log: a splice across
 // it fails the audit, and with the log retained an admin's upload per op
-// stays flat however long the history grows.
+// stays flat however long the history grows. A warm fetch pays for its own
+// partition only: one bundle entry decoded, the decrypt prepared once per
+// membership of that partition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,10 +27,13 @@ using ibbe::core::Identity;
 using ibbe::system::AdminApi;
 using ibbe::system::AdminConfig;
 using ibbe::system::CachedIndex;
+using ibbe::system::CipherBundle;
 using ibbe::system::ClientApi;
 using ibbe::system::DeltaOp;
 using ibbe::system::GroupId;
+using ibbe::system::GroupManifest;
 using ibbe::system::IndexDelta;
+using ibbe::system::PartitionId;
 using ibbe::system::SignedEnvelope;
 using ibbe::util::Bytes;
 
@@ -51,6 +56,13 @@ std::vector<std::pair<std::uint64_t, std::string>> delta_files(
   }
   std::sort(out.begin(), out.end());
   return out;
+}
+
+/// The committed manifest of `gid` (envelope signature not checked).
+GroupManifest live_manifest(CloudStore& cloud, const GroupId& gid) {
+  auto raw = cloud.get(ibbe::system::index_path(gid));
+  if (!raw) throw std::runtime_error("no manifest");
+  return GroupManifest::from_bytes(SignedEnvelope::from_bytes(*raw).payload);
 }
 
 struct ShardDeltaFixture : ::testing::Test {
@@ -129,6 +141,41 @@ TEST_F(ShardDeltaFixture, DeltaGapFallsBackToSnapshot) {
   ASSERT_TRUE(c.fetch_group_key(gid).has_value());
   EXPECT_EQ(c.stats().delta_folds, 1u);
   EXPECT_EQ(c.stats().fold_fallbacks, 1u);
+}
+
+TEST_F(ShardDeltaFixture, FarBehindClientTakesSnapshotEvenWithLogRetained) {
+  // With the audit log on, every delta since genesis is retained, so the
+  // retention window no longer bounds a fold. Folding stops paying once it
+  // costs more GETs than the snapshot.
+  ibbe::cloud::CloudStore cloud;
+  auto admin = admin_on(cloud, {.partition_size = 8,
+                                .repartitioning = false,
+                                .log_operations = true});
+  admin.create_group(gid, make_users(3));
+  auto c = client_on(cloud, admin, "user0");
+  ASSERT_TRUE(c.fetch_group_key(gid).has_value());
+  const auto genesis = live_manifest(cloud, gid).delta_base;
+
+  for (int i = 0; i < 150; ++i) {  // 300 commits behind
+    admin.add_user(gid, "churn" + std::to_string(i));
+    admin.remove_user(gid, "churn" + std::to_string(i));
+  }
+  ASSERT_EQ(live_manifest(cloud, gid).delta_base, genesis);  // all retained
+
+  auto gets_before = cloud.stats().gets;
+  auto key = c.fetch_group_key(gid);
+  auto gets = cloud.stats().gets - gets_before;
+  ASSERT_TRUE(key.has_value());
+  // Manifest, every shard, the bundle, and at most one overlay.
+  EXPECT_LE(gets, admin.shard_count(gid) + 3);
+  EXPECT_EQ(c.stats().fold_fallbacks, 1u);
+  EXPECT_EQ(c.stats().delta_folds, 0u);
+  EXPECT_EQ(*key, *client_on(cloud, admin, "user1").fetch_group_key(gid));
+
+  // A short gap still folds.
+  admin.add_user(gid, "late");
+  ASSERT_TRUE(c.fetch_group_key(gid).has_value());
+  EXPECT_EQ(c.stats().delta_folds, 1u);
 }
 
 TEST_F(ShardDeltaFixture, WarmClientFoldsAcrossShardRepartition) {
@@ -253,6 +300,125 @@ TEST_F(ShardDeltaFixture, MissingShardDegradesLikeTornSnapshotThenRecovers) {
   auto healed = c.fetch(gid);
   EXPECT_EQ(healed.status, ClientApi::FetchStatus::ok);
   ASSERT_TRUE(healed.key.has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Own-partition fetch: one bundle entry decoded, prepared decrypt reused
+// ---------------------------------------------------------------------------
+
+TEST_F(ShardDeltaFixture, UndecodableForeignBundleEntryDeniesOnlyItsPartition) {
+  ibbe::cloud::CloudStore cloud;
+  auto key_pair = ibbe::pki::EcdsaKeyPair::generate(rng);
+  AdminApi admin(enclave, cloud, key_pair, {.partition_size = 3}, 5);
+  // Creation fills partitions in order: user0-2 and user3-5.
+  admin.create_group(gid, make_users(6));
+  auto expected = client_on(cloud, admin, "user0").fetch_group_key(gid);
+  ASSERT_TRUE(expected.has_value());
+
+  // A validly signed bundle whose second entry holds an off-curve C1 (the
+  // x coordinate is all ones, above the field modulus).
+  const auto path =
+      ibbe::system::cipher_bundle_path(gid, live_manifest(cloud, gid).cipher_set);
+  auto bundle = CipherBundle::from_bytes(
+      SignedEnvelope::from_bytes(*cloud.get(path)).payload);
+  ASSERT_EQ(bundle.entries.size(), 2u);
+  auto& broken = bundle.entries[1].second;
+  std::fill(broken.begin(), broken.begin() + 48, std::uint8_t{0xff});
+  ASSERT_THROW((void)bundle.find(bundle.entries[1].first),
+               ibbe::util::DeserializeError);
+  (void)cloud.put(path,
+                  SignedEnvelope::sign(key_pair, bundle.to_bytes()).to_bytes());
+
+  // The well-formed partition's members never decode the broken entry.
+  auto healthy = client_on(cloud, admin, "user1");
+  auto key = healthy.fetch_group_key(gid);
+  ASSERT_TRUE(key.has_value());
+  EXPECT_EQ(*key, *expected);
+  EXPECT_EQ(healthy.stats().signature_failures, 0u);
+
+  // The broken partition's members get no key, and count the failure.
+  auto denied = client_on(cloud, admin, "user3");
+  denied.set_retry_policy(ibbe::util::RetryPolicy{.max_attempts = 2}
+                              .without_delays());
+  auto result = denied.fetch(gid);
+  EXPECT_EQ(result.status, ClientApi::FetchStatus::unavailable);
+  EXPECT_FALSE(result.key.has_value());
+  EXPECT_GE(denied.stats().signature_failures, 1u);
+}
+
+TEST_F(ShardDeltaFixture, PreparedPartitionIsReusedUntilItsMembershipChanges) {
+  ibbe::cloud::CloudStore cloud;
+  auto admin =
+      admin_on(cloud, {.partition_size = 4, .repartitioning = false});
+  // Creation fills partitions in order: user0-3 (full) and user4-6.
+  admin.create_group(gid, make_users(7));
+  auto c = client_on(cloud, admin, "user4");
+  ASSERT_TRUE(c.fetch_group_key(gid).has_value());
+  EXPECT_EQ(c.stats().partition_prepares, 1u);
+
+  // Four rotations that leave user4's partition untouched (the last one
+  // empties and drops the other partition): every key is new, and every
+  // one is decrypted with the first preparation.
+  std::vector<Bytes> keys = {*c.fetch_group_key(gid)};
+  for (const auto& revoked : make_users(4)) {
+    admin.remove_user(gid, revoked);
+    auto key = c.fetch_group_key(gid);
+    ASSERT_TRUE(key.has_value()) << revoked;
+    EXPECT_EQ(*key, *client_on(cloud, admin, "user5").fetch_group_key(gid));
+    EXPECT_NE(*key, keys.back());
+    keys.push_back(*key);
+  }
+  EXPECT_EQ(c.stats().partition_prepares, 1u);
+  EXPECT_EQ(c.stats().fold_fallbacks, 0u);
+  ASSERT_EQ(admin.partition_count(gid), 1u);
+
+  // An add into the client's own partition (the only one with room)
+  // changes its member list: prepare again, same key as a fresh client.
+  admin.add_user(gid, "late");
+  auto key = c.fetch_group_key(gid);
+  ASSERT_TRUE(key.has_value());
+  EXPECT_EQ(c.stats().partition_prepares, 2u);
+  EXPECT_EQ(*key, *client_on(cloud, admin, "late").fetch_group_key(gid));
+
+  // Revoked: the warm prepared cache never turns into a key.
+  admin.remove_user(gid, "user4");
+  auto result = c.fetch(gid);
+  EXPECT_EQ(result.status, ClientApi::FetchStatus::not_member);
+  EXPECT_FALSE(result.key.has_value());
+}
+
+TEST_F(ShardDeltaFixture, TornCiphertextDropsThePreparedPartition) {
+  ibbe::cloud::CloudStore cloud;
+  auto key_pair = ibbe::pki::EcdsaKeyPair::generate(rng);
+  AdminApi admin(enclave, cloud, key_pair, {.partition_size = 3}, 5);
+  admin.create_group(gid, make_users(6));
+  auto expected = client_on(cloud, admin, "user1").fetch_group_key(gid);
+  ASSERT_TRUE(expected.has_value());
+
+  // A signed bundle pairing each partition with the other's ciphertext: the
+  // index and the ciphertext disagree, as in a torn view.
+  const auto path =
+      ibbe::system::cipher_bundle_path(gid, live_manifest(cloud, gid).cipher_set);
+  const Bytes original = *cloud.get(path);
+  auto bundle =
+      CipherBundle::from_bytes(SignedEnvelope::from_bytes(original).payload);
+  ASSERT_EQ(bundle.entries.size(), 2u);
+  std::swap(bundle.entries[0].second, bundle.entries[1].second);
+  (void)cloud.put(path,
+                  SignedEnvelope::sign(key_pair, bundle.to_bytes()).to_bytes());
+
+  // Each failed attempt drops every cache, the prepared partition included,
+  // so the retry prepares again from scratch.
+  auto c = client_on(cloud, admin, "user0");
+  c.set_retry_policy(ibbe::util::RetryPolicy{.max_attempts = 2}
+                         .without_delays());
+  EXPECT_EQ(c.fetch(gid).status, ClientApi::FetchStatus::unavailable);
+  EXPECT_EQ(c.stats().partition_prepares, 2u);
+
+  (void)cloud.put(path, original);
+  auto key = c.fetch_group_key(gid);
+  ASSERT_TRUE(key.has_value());
+  EXPECT_EQ(*key, *expected);
 }
 
 // ---------------------------------------------------------------------------
