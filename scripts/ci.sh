@@ -182,10 +182,12 @@ fi
 
 # Sanitizer stage: when the toolchain can link ASan+UBSan, build a third tree
 # with -DIBBE_SANITIZE=address,undefined and run the suites that exercise the
-# fault-injection / crash-recovery machinery (heap-heavy, exception-heavy)
-# and the parsers of untrusted cloud bytes (fuzz_deserialize_test) under
-# instrumentation. Probed rather than assumed: minimal containers often
-# ship a compiler without the sanitizer runtimes.
+# fault-injection / crash-recovery machinery (heap-heavy, exception-heavy),
+# the parsers of untrusted cloud bytes (fuzz_deserialize_test) and the
+# revocation path from the IBBE core through the enclave (ibbe_test,
+# edge_cases_test, enclave_test) under instrumentation. Probed rather than
+# assumed: minimal containers often ship a compiler without the sanitizer
+# runtimes.
 san_probe="$(mktemp)"
 if echo 'int main() { return 0; }' \
      | c++ -x c++ - -fsanitize=address,undefined -fno-omit-frame-pointer \
@@ -205,10 +207,12 @@ if echo 'int main() { return 0; }' \
   cmake --build "$SAN_DIR" -j"$JOBS" --target \
     util_test cloud_test fault_injection_test byzantine_test system_test \
     extensions_test shard_delta_test thread_pool_test \
-    parallel_equivalence_test net_test fuzz_deserialize_test
+    parallel_equivalence_test net_test fuzz_deserialize_test \
+    ibbe_test edge_cases_test enclave_test
   for suite in util_test cloud_test fault_injection_test byzantine_test \
                system_test extensions_test shard_delta_test thread_pool_test \
-               parallel_equivalence_test net_test fuzz_deserialize_test; do
+               parallel_equivalence_test net_test fuzz_deserialize_test \
+               ibbe_test edge_cases_test enclave_test; do
     echo "==> $SAN_DIR/$suite (sanitized)"
     "$SAN_DIR/$suite" --gtest_brief=1
   done

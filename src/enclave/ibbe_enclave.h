@@ -106,30 +106,26 @@ class IbbeEnclave : public sgx::EnclaveBase {
   [[nodiscard]] PartitionCiphertext ecall_create_partition(
       std::span<const core::Identity> members, const sgx::SealedBlob& sealed_gk);
 
-  struct RemovalResult {
-    /// Updated ciphertexts: index 0 is the removed user's (shrunk) partition,
-    /// the rest follow the input order of `other_partitions`.
-    std::vector<PartitionCiphertext> partitions;
-    sgx::SealedBlob sealed_gk;
-  };
-  /// Algorithm 3 (enclaved block): fresh gk; the hosting partition gets the
-  /// O(1) removal (C3 division + re-key) and every other partition a constant
-  /// time re-key; the new gk is wrapped under every partition key.
-  /// `hosting_ct` must already correspond to the set *including* `removed`.
-  [[nodiscard]] RemovalResult ecall_remove_user(
-      const core::BroadcastCiphertext& hosting_ct,
-      std::span<const core::BroadcastCiphertext> other_partitions,
-      const core::Identity& removed);
-
-  /// Batch revocation (extension of Algorithm 3 along the paper's
-  /// future-work axis): every entry of `hosts` is a partition ciphertext
-  /// together with the users being revoked from it; all other partitions get
-  /// one constant-time re-key. The whole batch costs ONE group-key rotation
-  /// instead of one per revoked user.
+  /// One hosting partition of a revocation: its ciphertext, for the set
+  /// still *including* `removed`, and the users being revoked from it.
   struct BatchRemovalSpec {
     core::BroadcastCiphertext ct;
     std::vector<core::Identity> removed;
   };
+  struct RemovalResult {
+    /// Updated ciphertexts: hosts first, then `other_partitions` in input
+    /// order.
+    std::vector<PartitionCiphertext> partitions;
+    sgx::SealedBlob sealed_gk;
+  };
+  /// Algorithm 3 (enclaved block), for k >= 1 revoked users at once: fresh
+  /// gk; every host gets the O(1) removal (prod(gamma + H(id)) divided out
+  /// of C3, then a re-key) and every other partition a constant-time re-key;
+  /// the new gk is wrapped under every partition key. One host with one id
+  /// is the paper's single revocation; a larger batch (its future-work
+  /// extension) still costs ONE group-key rotation. Throws
+  /// std::invalid_argument, before drawing any randomness, if an id repeats
+  /// within one host's `removed`: dividing it out twice corrupts that C3.
   [[nodiscard]] RemovalResult ecall_remove_users(
       std::span<const BatchRemovalSpec> hosts,
       std::span<const core::BroadcastCiphertext> other_partitions);

@@ -15,7 +15,9 @@
 //   encrypt_with_msk   O(|S|)   — gamma collapses the product to Zr mults
 //   encrypt_public     O(|S|^2) — polynomial expansion over the PK powers
 //   add_user_with_msk  O(1)     — C{2,3} <- C{2,3}^(gamma+H(u))
-//   remove_user_with_msk O(1)   — C3 <- C3^(1/(gamma+H(u))), then re-key
+//   remove_users_with_msk O(k)  — C3 <- C3^(1/prod(gamma+H(u))) over the k
+//                                 revoked users, then re-key; k = 1 is the
+//                                 paper's O(1) single removal (Algorithm 3)
 //   rekey              O(1)     — fresh k applied to the cached C3 (PK only)
 //   decrypt            O(|S|^2) — polynomial expansion, then 2 pairings
 #pragma once
@@ -156,24 +158,12 @@ EncryptResult encrypt_public(const PublicKey& pk,
 void add_user_with_msk(const MasterSecretKey& msk, BroadcastCiphertext& ct,
                        const Identity& added);
 
-/// O(1) membership removal (MSK path): divides (gamma + H(id)) out of C3 and
-/// re-keys. Returns the fresh bk.
-EncryptResult remove_user_with_msk(const MasterSecretKey& msk,
-                                   const PublicKey& pk,
-                                   const BroadcastCiphertext& ct,
-                                   const Identity& removed, crypto::Drbg& rng);
-
-/// Explicit-randomizer variant of remove_user_with_msk (see the explicit-k
-/// encrypt_with_msk overload for the pre-draw contract).
-EncryptResult remove_user_with_msk(const MasterSecretKey& msk,
-                                   const PublicKey& pk,
-                                   const BroadcastCiphertext& ct,
-                                   const Identity& removed, const field::Fr& k);
-
-/// Batch removal (extension; paper future-work direction): divides the whole
-/// product prod(gamma + H(id)) out of C3 in one shot — O(k) Zr work and a
-/// single G2 exponentiation for k simultaneous revocations, instead of k
-/// sequential removals.
+/// Membership removal (MSK path): divides the whole product
+/// prod(gamma + H(id)) over `removed` out of C3 in one shot and re-keys;
+/// returns the fresh bk. O(k) Zr work and a single G2 exponentiation: one id
+/// is the paper's O(1) removal (Algorithm 3), k ids at once the batch
+/// revocation of its future-work direction, instead of k sequential removals.
+/// Each id must be a distinct member of the set `ct` was produced for.
 EncryptResult remove_users_with_msk(const MasterSecretKey& msk,
                                     const PublicKey& pk,
                                     const BroadcastCiphertext& ct,

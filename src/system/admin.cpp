@@ -33,6 +33,45 @@ std::optional<std::uint64_t> parse_numbered(const std::string& name,
   return value;
 }
 
+struct OwnObject {
+  std::uint64_t id;
+  bool gk_epoch;
+};
+
+/// Classifies a group-relative filename as one of admin `nonce`'s
+/// copy-on-write objects: its id, and whether it is a gk epoch
+/// (gk<epoch>.sealed, from the epoch counter) rather than a shard, bundle or
+/// overlay (s/c/o<id>, from the object counter). nullopt for the manifest,
+/// the deltas (named by the global freshness counter), a peer's objects and
+/// anything else.
+std::optional<OwnObject> own_object(const std::string& name,
+                                    std::uint32_t nonce) {
+  bool gk_epoch = false;
+  std::optional<std::uint64_t> id = parse_numbered(name, "s", "");
+  if (!id) id = parse_numbered(name, "c", "");
+  if (!id) id = parse_numbered(name, "o", "");
+  if (!id) {
+    id = parse_numbered(name, "gk", ".sealed");
+    gk_epoch = id.has_value();
+  }
+  if (!id || static_cast<std::uint32_t>(*id >> 32) != nonce) return std::nullopt;
+  return OwnObject{*id, gk_epoch};
+}
+
+/// Algorithm 1, line 1: consecutive partitions of `size` members (the last
+/// one may be short).
+std::vector<std::vector<Identity>> chunk_members(std::span<const Identity> members,
+                                                 std::size_t size) {
+  size = std::max<std::size_t>(size, 1);
+  std::vector<std::vector<Identity>> chunks;
+  for (std::size_t i = 0; i < members.size(); i += size) {
+    chunks.emplace_back(members.begin() + static_cast<std::ptrdiff_t>(i),
+                        members.begin() + static_cast<std::ptrdiff_t>(
+                                              std::min(members.size(), i + size)));
+  }
+  return chunks;
+}
+
 }  // namespace
 
 AdminApi::AdminApi(enclave::IbbeEnclave& enclave, cloud::CloudStore& cloud,
@@ -345,14 +384,9 @@ void AdminApi::gc_group(const GroupId& gid, const GroupState& state) {
       // decides its fate, and the audit log keeps them all.
       sweep = !config_.log_operations && *seq < state.delta_base;
     } else {
-      std::optional<std::uint64_t> id = parse_numbered(name, "s", "");
-      if (!id) id = parse_numbered(name, "c", "");
-      if (!id) id = parse_numbered(name, "o", "");
-      if (!id) id = parse_numbered(name, "gk", ".sealed");
       // Only this admin's own objects: a peer's unreferenced ones may be the
       // shadow files of its in-flight commit.
-      sweep = id &&
-              static_cast<std::uint32_t>(*id >> 32) == config_.admin_nonce &&
+      sweep = own_object(name, config_.admin_nonce) &&
               std::find(live.begin(), live.end(), path) == live.end();
     }
     if (!sweep) continue;
@@ -559,19 +593,10 @@ bool AdminApi::recover(const GroupId& gid) {
   }
   const std::string dir = group_dir(gid) + "/";
   for (const auto& path : files) {
-    const std::string name = path.substr(dir.size());
-    bool is_epoch = false;
-    std::optional<std::uint64_t> id = parse_numbered(name, "s", "");
-    if (!id) id = parse_numbered(name, "c", "");
-    if (!id) id = parse_numbered(name, "o", "");
-    if (!id) {
-      id = parse_numbered(name, "gk", ".sealed");
-      is_epoch = id.has_value();
-    }
-    if (!id) continue;
-    if (static_cast<std::uint32_t>(*id >> 32) != config_.admin_nonce) continue;
-    auto low = static_cast<std::uint32_t>(*id);
-    auto& counter = is_epoch ? state.epoch_counter : state.object_counter;
+    auto own = own_object(path.substr(dir.size()), config_.admin_nonce);
+    if (!own) continue;
+    auto low = static_cast<std::uint32_t>(own->id);
+    auto& counter = own->gk_epoch ? state.epoch_counter : state.object_counter;
     if (low >= counter) counter = low + 1;
   }
 
@@ -688,13 +713,7 @@ void AdminApi::create_group_sized(const GroupId& gid,
     state.head_delta = it->second.head_delta;
   }
 
-  // Algorithm 1, line 1: fixed-size partitions.
-  std::vector<std::vector<Identity>> partitions;
-  for (std::size_t i = 0; i < members.size(); i += partition_size) {
-    auto last = std::min(members.size(), i + partition_size);
-    partitions.emplace_back(members.begin() + static_cast<std::ptrdiff_t>(i),
-                            members.begin() + static_cast<std::ptrdiff_t>(last));
-  }
+  auto partitions = chunk_members(members, partition_size);
 
   // Lines 2-6 run inside the enclave.
   auto creation = enclave_.ecall_create_group(partitions);
@@ -797,85 +816,7 @@ void AdminApi::add_user(const GroupId& gid, const Identity& id) {
 }
 
 void AdminApi::remove_user(const GroupId& gid, const Identity& id) {
-  auto outcome = mutate_with_retry(gid, [&](GroupState& state) {
-    // Locate the hosting partition (Algorithm 3, line 1) — O(1) now.
-    auto mit = state.member_of.find(id);
-    if (mit == state.member_of.end()) return OpOutcome::noop;
-    const PartitionId host_pid = mit->second;
-    std::size_t host = partition_index(state, host_pid);
-
-    // Lines 3-9 run inside the enclave: O(1) removal on the host,
-    // constant time re-key everywhere else, fresh gk wrapped under every
-    // partition.
-    std::vector<core::BroadcastCiphertext> others;
-    others.reserve(state.partitions.size() - 1);
-    for (std::size_t p = 0; p < state.partitions.size(); ++p) {
-      if (p != host) others.push_back(state.partitions[p].cipher.ct);
-    }
-    auto result = enclave_.ecall_remove_user(state.partitions[host].cipher.ct,
-                                             others, id);
-    state.sealed_gk = result.sealed_gk;
-    state.gk_epoch = fresh_gk_epoch(state);
-
-    // Apply results: index 0 is the host, the rest follow input order.
-    auto& host_rec = state.partitions[host];
-    host_rec.members.erase(
-        std::find(host_rec.members.begin(), host_rec.members.end(), id));
-    host_rec.cipher = std::move(result.partitions[0]);
-    std::size_t out = 1;
-    for (std::size_t p = 0; p < state.partitions.size(); ++p) {
-      if (p != host) {
-        state.partitions[p].cipher = std::move(result.partitions[out++]);
-      }
-    }
-    state.member_of.erase(mit);
-    DeltaOp op;
-    op.kind = DeltaOp::Kind::remove_member;
-    op.user = id;
-    op.pid = host_pid;
-    state.pending_delta.push_back(std::move(op));
-
-    // An emptied partition just leaves the index; its shard entry goes
-    // with it (and an emptied shard drops out of the manifest — the old
-    // file is swept by the post-commit GC).
-    std::size_t host_shard = shard_index_of(state, host_pid);
-    bool host_shard_alive = true;
-    if (host_rec.members.empty()) {
-      state.partitions.erase(state.partitions.begin() +
-                             static_cast<std::ptrdiff_t>(host));
-      auto& pids = state.shards[host_shard].pids;
-      pids.erase(std::find(pids.begin(), pids.end(), host_pid));
-      if (pids.empty()) {
-        state.shards.erase(state.shards.begin() +
-                           static_cast<std::ptrdiff_t>(host_shard));
-        host_shard_alive = false;
-      }
-    }
-
-    // The global §V-A heuristic first (a full rebuild subsumes any
-    // shard-local one), then the same rule scoped to the host shard.
-    if (!state.partitions.empty() && config_.repartitioning &&
-        should_repartition(state)) {
-      // The rebuild commits on its own, recording the staged removal in
-      // its snapshot delta.
-      rebuild_group(gid, state);
-      return OpOutcome::rebuilt;
-    }
-    if (host_shard_alive && config_.repartitioning &&
-        shard_should_repartition(state, state.shards[host_shard])) {
-      repartition_shard(state, host_shard);
-    }
-    if (host_shard_alive) rewrite_shard(gid, state, host_shard);
-    // Every partition's ciphertext changed, but they travel as ONE
-    // rotated bundle: the revocation stays O(1) uploaded objects.
-    write_bundle(gid, state);
-    push_sealed_gk(gid, state);
-    return OpOutcome::published;
-  });
-
-  if (outcome == OpOutcome::noop) return;
-  stats_.users_removed++;
-  advisor_.record_remove();
+  remove_users(gid, std::span(&id, 1));
 }
 
 void AdminApi::add_users(const GroupId& gid, std::span<const Identity> ids) {
@@ -886,12 +827,17 @@ void AdminApi::remove_users(const GroupId& gid, std::span<const Identity> ids) {
   std::size_t removed_count = 0;
   auto outcome = mutate_with_retry(gid, [&](GroupState& state) {
     removed_count = 0;
-    // Group the batch by hosting partition; silently skip non-members.
+    // Algorithm 3, line 1, for every id: group the batch by hosting
+    // partition; silently skip non-members and repeats (revoking one user
+    // twice would divide them out of C3 twice).
     std::map<std::size_t, std::vector<Identity>> by_partition;
     for (const auto& id : ids) {
       auto mit = state.member_of.find(id);
       if (mit == state.member_of.end()) continue;
-      by_partition[partition_index(state, mit->second)].push_back(id);
+      auto& batch = by_partition[partition_index(state, mit->second)];
+      if (std::find(batch.begin(), batch.end(), id) == batch.end()) {
+        batch.push_back(id);
+      }
     }
     if (by_partition.empty()) return OpOutcome::noop;
 
@@ -910,6 +856,9 @@ void AdminApi::remove_users(const GroupId& gid, std::span<const Identity> ids) {
       }
     }
 
+    // Lines 3-9 run inside the enclave: O(1) removal on every host, a
+    // constant-time re-key everywhere else, one fresh gk wrapped under every
+    // partition.
     auto result = enclave_.ecall_remove_users(hosts, others);
     state.sealed_gk = result.sealed_gk;
     state.gk_epoch = fresh_gk_epoch(state);
@@ -947,8 +896,9 @@ void AdminApi::remove_users(const GroupId& gid, std::span<const Identity> ids) {
           std::move(result.partitions[hosts.size() + o]);
     }
 
-    // Drop emptied partitions, largest offset first; the shard files
-    // themselves are swept post-commit.
+    // An emptied partition just leaves the index, largest offset first; its
+    // shard entry goes with it, and an emptied shard drops out of the
+    // manifest (the old files are swept by the post-commit GC).
     for (std::size_t p = state.partitions.size(); p-- > 0;) {
       if (!state.partitions[p].members.empty()) continue;
       const PartitionId pid = state.partitions[p].id;
@@ -967,22 +917,33 @@ void AdminApi::remove_users(const GroupId& gid, std::span<const Identity> ids) {
                              static_cast<std::ptrdiff_t>(p));
     }
 
-    if (!state.partitions.empty() && config_.repartitioning &&
-        should_repartition(state)) {
-      rebuild_group(gid, state);
-      return OpOutcome::rebuilt;
+    // The §V-A rule over the whole group first (a full rebuild subsumes any
+    // shard-local one), then scoped to each shard that lost members:
+    // compacting only those keeps the repair O(shard), and clients fold it
+    // as a delta instead of hitting the full-rebuild snapshot barrier.
+    if (config_.repartitioning) {
+      std::vector<PartitionId> all;
+      all.reserve(state.partitions.size());
+      for (const auto& p : state.partitions) all.push_back(p.id);
+      if (mostly_sparse(state, all)) {
+        // The rebuild commits on its own, recording the staged removals in
+        // its snapshot delta.
+        rebuild_group(gid, state);
+        return OpOutcome::rebuilt;
+      }
     }
     for (std::size_t s = 0; s < state.shards.size(); ++s) {
       if (std::find(dirty_sids.begin(), dirty_sids.end(),
                     state.shards[s].sid) == dirty_sids.end()) {
         continue;
       }
-      if (config_.repartitioning &&
-          shard_should_repartition(state, state.shards[s])) {
+      if (config_.repartitioning && mostly_sparse(state, state.shards[s].pids)) {
         repartition_shard(state, s);
       }
       rewrite_shard(gid, state, s);
     }
+    // Every partition's ciphertext changed, but they travel as ONE rotated
+    // bundle: the revocation stays O(1) uploaded objects.
     write_bundle(gid, state);
     push_sealed_gk(gid, state);
     return OpOutcome::published;
@@ -993,32 +954,19 @@ void AdminApi::remove_users(const GroupId& gid, std::span<const Identity> ids) {
   for (std::size_t i = 0; i < removed_count; ++i) advisor_.record_remove();
 }
 
-bool AdminApi::should_repartition(const GroupState& state) const {
+bool AdminApi::mostly_sparse(const GroupState& state,
+                             std::span<const PartitionId> pids) const {
   // §V-A heuristic: "if less than half of the partitions are only two thirds
   // full, then re-partitioning is triggered."
-  if (state.partitions.size() < 2) return false;
+  if (pids.size() < 2) return false;
   std::size_t threshold = (state.target_partition_size * 2 + 2) / 3;  // ceil(2m/3)
   std::size_t sparse = 0;
-  for (const auto& rec : state.partitions) {
-    if (rec.members.size() < threshold) ++sparse;
-  }
-  return sparse * 2 > state.partitions.size();
-}
-
-bool AdminApi::shard_should_repartition(const GroupState& state,
-                                        const Shard& shard) const {
-  // The §V-A occupancy rule scoped to one shard: compacting only the shard
-  // that churned keeps the repair O(shard), and clients fold it as a delta
-  // instead of hitting the full-rebuild snapshot barrier.
-  if (shard.pids.size() < 2) return false;
-  std::size_t threshold = (state.target_partition_size * 2 + 2) / 3;
-  std::size_t sparse = 0;
-  for (PartitionId pid : shard.pids) {
+  for (PartitionId pid : pids) {
     if (state.partitions[partition_index(state, pid)].members.size() < threshold) {
       ++sparse;
     }
   }
-  return sparse * 2 > shard.pids.size();
+  return sparse * 2 > pids.size();
 }
 
 void AdminApi::repartition_shard(GroupState& state, std::size_t shard) {
@@ -1037,13 +985,10 @@ void AdminApi::repartition_shard(GroupState& state, std::size_t shard) {
   }
   sh.pids.clear();
 
-  const std::size_t m = std::max<std::size_t>(state.target_partition_size, 1);
-  for (std::size_t i = 0; i < pool.size(); i += m) {
-    auto last = std::min(pool.size(), i + m);
+  for (auto& members : chunk_members(pool, state.target_partition_size)) {
     Partition rec;
     rec.id = fresh_partition_id(state);
-    rec.members.assign(pool.begin() + static_cast<std::ptrdiff_t>(i),
-                       pool.begin() + static_cast<std::ptrdiff_t>(last));
+    rec.members = std::move(members);
     // Wraps the CURRENT (post-rotation) gk — the caller writes the bundle
     // after this, so the new ciphertexts ride the same O(1) object.
     rec.cipher = enclave_.ecall_create_partition(rec.members, state.sealed_gk);

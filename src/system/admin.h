@@ -35,7 +35,8 @@
 // retried under config.retry; a cloud::CrashError is never retried in place.
 //
 // Extensions beyond the paper's evaluation (its §VIII future work):
-//   * batch revocation: remove_users() rotates gk once per batch;
+//   * batch revocation: remove_users() rotates gk once per batch; it is the
+//     only revocation path, remove_user() being a batch of one;
 //   * multi-administrator mode: CAS-protected manifest updates with cache
 //     re-sync and retry (always on; config.admin_nonce keeps admins' ids
 //     apart);
@@ -127,12 +128,14 @@ class AdminApi {
   /// Algorithm 2. No-op if the user is already a member.
   void add_user(const GroupId& gid, const core::Identity& id);
 
-  /// Algorithm 3 (+ re-partitioning heuristics). No-op if not a member.
+  /// Algorithm 3 (+ re-partitioning heuristics): remove_users with one id.
+  /// No-op if not a member.
   void remove_user(const GroupId& gid, const core::Identity& id);
 
   /// Batch extensions: `add_users` loops the O(1) add; `remove_users`
   /// rotates the group key ONCE for all k revocations (one enclave call, one
-  /// re-key per partition) instead of k times.
+  /// re-key per partition) instead of k times. Non-members and repeated ids
+  /// are skipped; no-op if no id is a member.
   void add_users(const GroupId& gid, std::span<const core::Identity> ids);
   void remove_users(const GroupId& gid, std::span<const core::Identity> ids);
 
@@ -315,12 +318,11 @@ class AdminApi {
   /// Advances the local id/epoch/object counters past every id the
   /// committed state carries for this admin's nonce.
   void bump_counters_past(GroupState& state) const;
-  /// The heuristic from §V-A: more than half of the partitions below 2/3
-  /// occupancy triggers a full rebuild (snapshot barrier).
-  bool should_repartition(const GroupState& state) const;
-  /// The same occupancy rule applied to one shard's partitions.
-  bool shard_should_repartition(const GroupState& state,
-                                const Shard& shard) const;
+  /// The occupancy rule from §V-A: more than half of the partitions `pids`
+  /// below 2/3 occupancy. Over every partition it triggers a full rebuild
+  /// (snapshot barrier); over one shard's, a shard-local repartition.
+  [[nodiscard]] bool mostly_sparse(const GroupState& state,
+                                   std::span<const PartitionId> pids) const;
   /// Shard-local rebuild: merges the shard's members into fresh partitions
   /// of the target size wrapping the CURRENT gk (no rotation), under fresh
   /// stable pids; stages a repartition delta op so warm clients fold it.

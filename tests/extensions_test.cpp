@@ -52,10 +52,11 @@ TEST_F(BatchFixture, CoreBatchRemovalMatchesSequential) {
   auto batch = ibbe::core::remove_users_with_msk(keys.msk, keys.pk, enc.ct,
                                                  leavers, rng);
 
-  // Sequential removals land on the same C3 (same receiver set).
+  // k one-id removals in sequence land on the same C3 (same receiver set).
   auto seq = enc;
   for (const auto& id : leavers) {
-    seq = ibbe::core::remove_user_with_msk(keys.msk, keys.pk, seq.ct, id, rng);
+    seq = ibbe::core::remove_users_with_msk(keys.msk, keys.pk, seq.ct,
+                                            std::span(&id, 1), rng);
   }
   EXPECT_EQ(batch.ct.c3, seq.ct.c3);
 
@@ -120,6 +121,36 @@ TEST(BatchEnclave, OneGkRotationForWholeBatch) {
   EXPECT_FALSE(unwrap("user5", p1, result.partitions[1]).has_value());
 }
 
+TEST(BatchEnclave, RepeatedIdWithinHostIsRejected) {
+  // The host's batch is untrusted input: dividing one identity out of C3
+  // twice would leave a ciphertext no remaining member can decrypt.
+  ibbe::sgx::EnclavePlatform platform("batch-box");
+  ibbe::enclave::IbbeEnclave rejecting(platform, 8, 0xD0B);
+  ibbe::enclave::IbbeEnclave reference(platform, 8, 0xD0B);
+  std::vector<std::vector<Identity>> partitions = {make_users(4, 0),
+                                                   make_users(4, 4)};
+  auto group = rejecting.ecall_create_group(partitions);
+  (void)reference.ecall_create_group(partitions);
+
+  std::vector<ibbe::enclave::IbbeEnclave::BatchRemovalSpec> repeated = {
+      {group.partitions[0].ct, {"user1", "user2", "user1"}}};
+  std::vector<ibbe::core::BroadcastCiphertext> others = {group.partitions[1].ct};
+  EXPECT_THROW((void)rejecting.ecall_remove_users(repeated, others),
+               std::invalid_argument);
+
+  // Rejected before any randomness was drawn: the next removal matches a
+  // same-seed enclave that never saw the bad batch.
+  std::vector<ibbe::enclave::IbbeEnclave::BatchRemovalSpec> valid = {
+      {group.partitions[0].ct, {"user1"}}};
+  auto after = rejecting.ecall_remove_users(valid, others);
+  auto expected = reference.ecall_remove_users(valid, others);
+  ASSERT_EQ(after.partitions.size(), expected.partitions.size());
+  for (std::size_t i = 0; i < after.partitions.size(); ++i) {
+    EXPECT_EQ(after.partitions[i].to_bytes(), expected.partitions[i].to_bytes())
+        << i;
+  }
+}
+
 struct SystemBatchFixture : ::testing::Test {
   SystemBatchFixture()
       : platform("box"),
@@ -182,6 +213,32 @@ TEST_F(SystemBatchFixture, BatchOfUnknownUsersIsNoOp) {
   std::vector<Identity> ghosts = {"ghost1", "ghost2"};
   admin.remove_users("g", ghosts);
   EXPECT_EQ(client("user0").fetch_group_key("g"), before);
+}
+
+TEST_F(SystemBatchFixture, DuplicateIdInBatchIsRevokedOnce) {
+  // A repeat must neither divide user1 out of C3 twice nor drop a bystander
+  // from the partition's member list.
+  auto users = make_users(8);  // two full partitions of 4
+  admin.create_group("g", users);
+  auto before = client("user0").fetch_group_key("g");
+  ASSERT_TRUE(before.has_value());
+
+  std::vector<Identity> batch = {"user1", "user1"};
+  admin.remove_users("g", batch);
+  EXPECT_EQ(admin.group_size("g"), 7u);
+  EXPECT_FALSE(admin.is_member("g", "user1"));
+
+  auto after = client("user0").fetch_group_key("g");
+  ASSERT_TRUE(after.has_value());
+  EXPECT_NE(*after, *before);
+  for (const auto& id : users) {
+    if (id == "user1") {
+      EXPECT_FALSE(client(id).fetch_group_key("g").has_value());
+    } else {
+      EXPECT_TRUE(admin.is_member("g", id)) << id;
+      EXPECT_EQ(client(id).fetch_group_key("g"), after) << id;
+    }
+  }
 }
 
 // ------------------------------------------------------------- multi-admin

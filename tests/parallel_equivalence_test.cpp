@@ -290,11 +290,13 @@ TEST(ParallelEquivalenceTest, EnclaveCreateRemoveBitwiseAcrossThreadCounts) {
   ThreadPool::set_global_threads(1);
   enclave::IbbeEnclave oracle(platform, 8, kSeed);
   auto serial_create = oracle.ecall_create_group(partitions);
-  auto serial_remove = oracle.ecall_remove_user(
-      serial_create.partitions[0].ct,
-      std::vector<BroadcastCiphertext>{serial_create.partitions[1].ct,
-                                       serial_create.partitions[2].ct},
-      partitions[0][0]);
+  // Both removal shapes: one host with one id (a single revocation), and a
+  // batch over two hosts.
+  std::vector<enclave::IbbeEnclave::BatchRemovalSpec> single = {
+      {serial_create.partitions[0].ct, {partitions[0][0]}}};
+  auto serial_remove = oracle.ecall_remove_users(
+      single, std::vector<BroadcastCiphertext>{serial_create.partitions[1].ct,
+                                               serial_create.partitions[2].ct});
   std::vector<enclave::IbbeEnclave::BatchRemovalSpec> specs(2);
   specs[0] = {serial_create.partitions[3].ct, {partitions[3][1], partitions[3][2]}};
   specs[1] = {serial_create.partitions[4].ct, {partitions[4][0]}};
@@ -312,11 +314,9 @@ TEST(ParallelEquivalenceTest, EnclaveCreateRemoveBitwiseAcrossThreadCounts) {
           << "create t=" << t << " i=" << i;
     }
 
-    auto remove = en.ecall_remove_user(
-        create.partitions[0].ct,
-        std::vector<BroadcastCiphertext>{create.partitions[1].ct,
-                                         create.partitions[2].ct},
-        partitions[0][0]);
+    auto remove = en.ecall_remove_users(
+        single, std::vector<BroadcastCiphertext>{create.partitions[1].ct,
+                                                 create.partitions[2].ct});
     ASSERT_EQ(remove.partitions.size(), serial_remove.partitions.size());
     for (std::size_t i = 0; i < remove.partitions.size(); ++i) {
       EXPECT_EQ(remove.partitions[i].to_bytes(),
