@@ -1,75 +1,88 @@
-// Million-user group-state trajectory: what the sharded manifest + delta
-// layout buys over the seed's monolithic member matrix, and what the new
-// fold primitive costs.
+// Million-member group-state trajectory: what the sharded manifest + delta
+// layout buys over the seed's monolithic member matrix, measured on the real
+// AdminApi -> IbbeEnclave -> CloudStore stack. One group of 10⁶ members at
+// the paper's |p| = 1000 (shards of k partitions, k from PartitionAdvisor)
+// is created, then churned by add/remove pairs of a joiner; every metric
+// below comes from that group.
 //
-//   mutation_ops_s       — end-to-end membership mutations per second
-//                          (remove+add churn pairs through the real enclave,
-//                          cloud store and commit protocol at |p|=4);
-//   index_bytes_per_op   — mean MEMBER-INDEX bytes uploaded per membership
-//                          mutation at one million members under the sharded
-//                          layout (host shard rewrite + signed delta +
-//                          manifest), measured with the real serializers;
-//   index_bytes_per_op_monolithic — the same churn under the seed's layout:
-//                          every mutation re-uploads the whole member matrix
-//                          as one object;
-//   index_churn_ratio    — monolithic / sharded. HARD GATE at the million
-//                          scale: the bench exits non-zero below 100x, which
-//                          is the acceptance bar for the layout change;
-//   delta_fold_us        — mean CachedIndex::apply of a single-op delta into
-//                          a warm million-member view (the client's warm
-//                          path per commit);
-//   replay_ops_s         — metadata-layer replay of the Linux-kernel trace
-//                          with contributors scaled by --contributors-x
-//                          (shape from trace.h; x=100 reproduces the
-//                          tentpole's 100x-contributors scenario);
+//   mutation_ops_s       — membership mutations per second over the churn
+//                          loop (admin CPU + enclave re-key + commit; the
+//                          removes' gk rotation over 1000 partitions
+//                          dominates);
+//   index_bytes_per_op   — mean MEMBER-INDEX bytes the admin uploaded per
+//                          mutation: the index, s<id> and d<seq> objects it
+//                          put, counted at the store;
+//   index_bytes_per_op_monolithic — the same group under the seed's layout:
+//                          every mutation re-uploads one envelope-framed
+//                          IndexShard holding every partition;
+//   index_churn_ratio    — monolithic / sharded. HARD GATE: the bench exits
+//                          non-zero below 100x, the acceptance bar for the
+//                          layout;
+//   delta_fold_us        — mean CachedIndex::apply of a committed delta (the
+//                          manifest's head_delta()) into a warm view built
+//                          from the committed shards: the online client's
+//                          cost per commit;
 //   peak_rss_mb          — VmHWM after everything above. --rss-ceiling-mb N
 //                          turns it into a gate: exceeding N fails the run,
 //                          so the million-member scenario cannot silently
 //                          regress into matrix-sized allocations.
 //
-// Cipher bytes are deliberately excluded from the index churn metrics: the
-// cipher bundle/overlay split is covered by bench_fig7's footprint numbers,
-// and the seed-vs-sharded comparison here isolates the member-matrix cost
-// the tentpole replaced.
+// Cipher objects (c<id> bundles, o<id> overlays, gk<e>.sealed) are excluded
+// from the index bytes: bench_fig7 covers the cipher footprint, and the
+// comparison here isolates the member-matrix cost the sharding replaced.
 //
 // Usage: bench_group_suite [--json PATH] [--scale smoke|default|full]
-//                          [--contributors-x N] [--rss-ceiling-mb N]
-#include <algorithm>
+//                          [--rss-ceiling-mb N]
+#include <cctype>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common.h"
 #include "system/admin.h"
-#include "system/advisor.h"
-#include "system/client.h"
 #include "system/metadata.h"
-#include "trace/trace.h"
 #include "util/stopwatch.h"
 
 namespace {
 
 using ibbe::core::Identity;
 using ibbe::system::CachedIndex;
-using ibbe::system::DeltaOp;
 using ibbe::system::GroupManifest;
-using ibbe::system::IndexDelta;
 using ibbe::system::IndexShard;
-using ibbe::system::PartitionId;
+using ibbe::system::SignedEnvelope;
 
-constexpr std::size_t kEnvelopeOverhead =
-    4 + ibbe::pki::EcdsaSignature::serialized_size;  // length prefix + ECDSA
+/// An in-process store that also counts the bytes put to member-index
+/// objects: the manifest ("index"), shards (s<id>) and deltas (d<seq>).
+class IndexCountingStore : public ibbe::cloud::CloudStore {
+ public:
+  std::size_t index_bytes = 0;
 
-std::vector<Identity> make_users(std::size_t n) {
-  std::vector<Identity> users;
-  for (std::size_t i = 0; i < n; ++i) users.push_back("u" + std::to_string(i));
-  return users;
-}
+  std::uint64_t put(const std::string& path, ibbe::util::Bytes value) override {
+    count(path, value.size());
+    return CloudStore::put(path, std::move(value));
+  }
+  std::optional<std::uint64_t> put_cas(const std::string& path,
+                                       ibbe::util::Bytes value,
+                                       std::uint64_t expected) override {
+    count(path, value.size());
+    return CloudStore::put_cas(path, std::move(value), expected);
+  }
+
+ private:
+  void count(const std::string& path, std::size_t bytes) {
+    const std::string name = path.substr(path.rfind('/') + 1);
+    if (name == "index" ||
+        (name.size() > 1 && (name[0] == 's' || name[0] == 'd') &&
+         std::isdigit(static_cast<unsigned char>(name[1])))) {
+      index_bytes += bytes;
+    }
+  }
+};
 
 /// Peak resident set (VmHWM) of this process, in MiB; 0 if unreadable.
 double peak_rss_mb() {
@@ -83,355 +96,128 @@ double peak_rss_mb() {
   return 0.0;
 }
 
-/// End-to-end churn throughput: remove+add pairs through the real enclave,
-/// store and commit protocol (small group — this measures protocol + crypto,
-/// not the index layout; the layout is what the metadata metrics below
-/// isolate).
-double mutation_ops_s(int iters) {
-  ibbe::sgx::EnclavePlatform platform("bench-group");
-  ibbe::enclave::IbbeEnclave enclave(platform, 4);
-  ibbe::cloud::CloudStore cloud;
-  ibbe::crypto::Drbg rng(7);
-  ibbe::system::AdminConfig config;
-  config.partition_size = 4;
-  ibbe::system::AdminApi admin(enclave, cloud,
-                               ibbe::pki::EcdsaKeyPair::generate(rng), config,
-                               /*seed=*/3);
-  admin.create_group("g", make_users(24));
-  admin.remove_user("g", "u0");  // warm-up pair
-  admin.add_user("g", "u0");
-  ibbe::util::Stopwatch sw;
-  for (int i = 0; i < iters; ++i) {
-    admin.remove_user("g", "u0");
-    admin.add_user("g", "u0");
-  }
-  return (2.0 * iters) / sw.seconds();
-}
-
-// ---------------------------------------------------------------------------
-// Metadata-layer group model
-// ---------------------------------------------------------------------------
-// Mirrors exactly which INDEX objects AdminApi re-serializes per mutation
-// (host shard + delta + manifest under the sharded layout; the whole member
-// matrix under the seed's), using the real wire formats, without paying for
-// IBBE partition crypto — which is what makes a million-member group and a
-// 100x-contributors replay measurable at all.
-
-class MetaGroup {
- public:
-  MetaGroup(std::size_t partition_size, std::size_t shard_partitions)
-      : m_(partition_size), k_(shard_partitions) {}
-
-  void bootstrap(const std::vector<Identity>& members) {
-    for (const auto& id : members) place(id);
-    for (auto& s : shards_) refresh_ref(s);
-  }
-
-  /// Adds one member; returns the bytes the sharded layout uploads for the
-  /// index (shard + delta + manifest, each envelope-framed).
-  std::size_t add(const Identity& id) {
-    std::size_t shard = place(id);
-    return commit(shard, DeltaOp::Kind::add_member, id);
-  }
-
-  /// Removes one member; same accounting.
-  std::size_t remove(const Identity& id) {
-    auto it = locate_.find(id);
-    if (it == locate_.end()) return 0;
-    auto [shard, pid] = it->second;
-    auto& partitions = shards_[shard].shard.partitions;
-    for (auto p = partitions.begin(); p != partitions.end(); ++p) {
-      if (p->first != pid) continue;
-      p->second.erase(std::find(p->second.begin(), p->second.end(), id));
-      if (p->second.empty()) partitions.erase(p);
-      break;
-    }
-    locate_.erase(it);
-    if (open_ && open_->first == shard) open_.reset();  // may have changed
-    return commit(shard, DeltaOp::Kind::remove_member, id);
-  }
-
-  /// One object holding every partition's member list — the seed's
-  /// GroupIndex member matrix, re-uploaded wholesale per mutation.
-  std::size_t monolithic_bytes() const {
-    IndexShard matrix;
-    for (const auto& s : shards_) {
-      for (const auto& p : s.shard.partitions) matrix.partitions.push_back(p);
-    }
-    return matrix.to_bytes().size() + kEnvelopeOverhead;
-  }
-
-  std::size_t member_count() const { return locate_.size(); }
-  std::size_t partition_count() const {
-    std::size_t n = 0;
-    for (const auto& s : shards_) n += s.shard.partitions.size();
-    return n;
-  }
-  std::size_t shard_count() const {
-    std::size_t n = 0;
-    for (const auto& s : shards_) n += s.shard.partitions.empty() ? 0 : 1;
-    return n;
-  }
-
- private:
-  struct ShardState {
-    IndexShard shard;
-    ibbe::system::ShardRef ref;
-    std::size_t bytes = 0;  // last serialized size, envelope-framed
-  };
-
-  /// Puts `id` into the open partition (or a fresh partition in the last
-  /// shard with room, or a fresh shard); returns the shard index.
-  std::size_t place(const Identity& id) {
-    if (!open_ || member_count_of(open_->first, open_->second) >= m_) {
-      open_.reset();
-      // A fresh partition: last shard if it has room, else a new shard
-      // (an emptied-out tail shard is reused, as the real admin's
-      // assign_to_shard does after the GC drops it).
-      if (shards_.empty() || shards_.back().shard.partitions.size() >= k_) {
-        shards_.push_back({});
-        shards_.back().shard.sid = next_object_++;
-        shards_.back().ref.sid = shards_.back().shard.sid;
-      }
-      auto& shard = shards_.back().shard;
-      shard.partitions.emplace_back(next_pid_++,
-                                    std::vector<Identity>{});
-      open_ = {shards_.size() - 1, shard.partitions.back().first};
-    }
-    auto& partitions = shards_[open_->first].shard.partitions;
-    for (auto& p : partitions) {
-      if (p.first == open_->second) {
-        p.second.push_back(id);
-        break;
-      }
-    }
-    locate_[id] = *open_;
-    return open_->first;
-  }
-
-  std::size_t member_count_of(std::size_t shard, PartitionId pid) const {
-    for (const auto& p : shards_[shard].shard.partitions) {
-      if (p.first == pid) return p.second.size();
-    }
-    return m_;  // gone -> treat as full so place() opens a fresh one
-  }
-
-  void refresh_ref(ShardState& s) {
-    auto bytes = s.shard.to_bytes();
-    s.ref.hash = ibbe::system::content_hash(bytes);
-    s.bytes = bytes.size() + kEnvelopeOverhead;
-  }
-
-  /// Serializes what the admin uploads for this mutation and returns the
-  /// byte total: the rewritten host shard, the previous commit's delta
-  /// (copied out of its manifest), and the manifest carrying every shard ref
-  /// and this commit's signed single-op delta.
-  std::size_t commit(std::size_t shard, DeltaOp::Kind kind,
-                     const Identity& id) {
-    refresh_ref(shards_[shard]);
-    IndexDelta delta;
-    delta.seq = ++counter_;
-    delta.prev_log_head = head_;
-    delta.admin = "admin";
-    DeltaOp op;
-    op.kind = kind;
-    op.user = id;
-    delta.ops = {op};
-    head_ = delta.log_head();
-    const std::size_t envelope = delta.to_bytes().size() + kEnvelopeOverhead;
-    const std::size_t previous = std::exchange(last_envelope_, envelope);
-    GroupManifest manifest;
-    manifest.shards.reserve(shards_.size());
-    // Emptied shards leave the manifest (the admin erases them); slots stay
-    // in shards_ so locate_'s indices remain stable.
-    for (const auto& s : shards_) {
-      if (!s.shard.partitions.empty()) manifest.shards.push_back(s.ref);
-    }
-    manifest.delta_base = counter_ > 64 ? counter_ - 63 : 1;
-    manifest.delta.resize(envelope);  // the embedded envelope's size
-    return shards_[shard].bytes + previous + manifest.to_bytes().size() +
-           kEnvelopeOverhead;
-  }
-
-  std::size_t m_;
-  std::size_t k_;
-  std::vector<ShardState> shards_;
-  std::unordered_map<Identity, std::pair<std::size_t, PartitionId>> locate_;
-  std::optional<std::pair<std::size_t, PartitionId>> open_;
-  PartitionId next_pid_ = 0;
-  std::uint64_t next_object_ = 0;
-  std::uint64_t counter_ = 0;
-  ibbe::system::Hash32 head_{};
-  std::size_t last_envelope_ = 0;
-};
-
-struct ChurnResult {
-  double sharded_bytes_per_op = 0;
-  double monolithic_bytes_per_op = 0;
-  double fold_us = 0;
-};
-
-/// Builds the million-member group, churns it, and measures both layouts +
-/// the client-side fold cost of each commit's delta.
-ChurnResult million_member_churn(std::size_t members, int churn_ops) {
-  const std::size_t m = 1000;  // the paper's large-deployment |p|
-  const std::size_t partitions = (members + m - 1) / m;
-  const std::size_t k =
-      ibbe::system::PartitionAdvisor::recommend_shard_partitions(partitions, m);
-  MetaGroup group(m, k);
-  group.bootstrap(make_users(members));
-  std::printf("  group: %zu members, %zu partitions, %zu shards (k=%zu)\n",
-              group.member_count(), group.partition_count(),
-              group.shard_count(), k);
-
-  // A warm client's view of the same group, for the fold timing.
-  CachedIndex view;
-  {
-    std::size_t uid = 0;
-    for (std::size_t p = 0; p < partitions; ++p) {
-      std::vector<Identity> list;
-      list.reserve(m);
-      for (std::size_t i = 0; i < m && uid < members; ++i) {
-        list.push_back("u" + std::to_string(uid++));
-      }
-      view.add_partition(p, std::move(list));
-    }
-    (void)view.find_user("u0");  // build the lookup map outside the timing
-  }
-
-  ChurnResult r;
-  r.monolithic_bytes_per_op = static_cast<double>(group.monolithic_bytes());
-  std::size_t total = 0;
-  double fold_total_us = 0;
-  for (int i = 0; i < churn_ops; ++i) {
-    const Identity joiner = "joiner" + std::to_string(i);
-    total += group.add(joiner);
-    total += group.remove(joiner);
-    // Fold both commits into the warm view (what every online client does).
-    for (auto kind : {DeltaOp::Kind::add_member, DeltaOp::Kind::remove_member}) {
-      IndexDelta d;
-      d.seq = view.counter + 1;
-      d.prev_log_head = view.log_head;
-      d.admin = "admin";
-      DeltaOp op;
-      op.kind = kind;
-      op.user = joiner;
-      op.pid = partitions + 7;  // the churn partition
-      d.ops = {op};
-      ibbe::util::Stopwatch sw;
-      if (!view.apply(d)) std::fprintf(stderr, "fold failed\n");
-      fold_total_us += sw.micros();
-    }
-  }
-  r.sharded_bytes_per_op = static_cast<double>(total) / (2.0 * churn_ops);
-  r.fold_us = fold_total_us / (2.0 * churn_ops);
-  return r;
-}
-
-/// Metadata-layer replay of the Linux-kernel trace with the contributor
-/// population scaled by `x` (ops scale with it so the peak is reached).
-double replay_ops_s(std::size_t x) {
-  auto trace = ibbe::trace::linux_kernel_trace(43468 * x, 2803 * x,
-                                               /*seed=*/2018);
-  const std::size_t m = 1000;
-  const std::size_t peak_partitions = (trace.peak_size() + m - 1) / m;
-  const std::size_t k = ibbe::system::PartitionAdvisor::recommend_shard_partitions(
-      std::max<std::size_t>(peak_partitions, 1), m);
-  MetaGroup group(m, k);
-  group.bootstrap(trace.initial_members);
-  ibbe::util::Stopwatch sw;
-  for (const auto& op : trace.ops) {
-    if (op.kind == ibbe::trace::OpKind::add) {
-      (void)group.add(op.user);
-    } else {
-      (void)group.remove(op.user);
-    }
-  }
-  double secs = sw.seconds();
-  std::printf("  replay: %zu ops, peak %zu contributors, %zu shards -> %s\n",
-              trace.ops.size(), trace.peak_size(), group.shard_count(),
-              ibbe::bench::fmt_seconds(secs).c_str());
-  return static_cast<double>(trace.ops.size()) / secs;
+/// The committed manifest of `gid` (signature not checked: the bench reads
+/// what its own admin just wrote).
+GroupManifest committed_manifest(const ibbe::cloud::CloudStore& cloud,
+                                 const ibbe::system::GroupId& gid) {
+  auto raw = cloud.get(ibbe::system::index_path(gid));
+  return GroupManifest::from_bytes(SignedEnvelope::from_bytes(*raw).payload);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const ibbe::bench::Scale scale = ibbe::bench::parse_scale(argc, argv);
-  std::string json_path;
-  long contributors_x = 0;  // 0 = pick per scale
   long rss_ceiling_mb = 0;  // 0 = report only
   for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
-    if (std::strcmp(argv[i], "--contributors-x") == 0) {
-      contributors_x = std::atol(argv[i + 1]);
-    }
     if (std::strcmp(argv[i], "--rss-ceiling-mb") == 0) {
       rss_ceiling_mb = std::atol(argv[i + 1]);
     }
   }
   // The million-member scenario runs at EVERY scale — it is the point of the
-  // suite; scale only varies iteration counts and the replay multiplier.
-  const int iters = scale == ibbe::bench::Scale::smoke  ? 5
-                    : scale == ibbe::bench::Scale::full ? 100
-                                                        : 25;
-  const int churn_ops = scale == ibbe::bench::Scale::smoke ? 50 : 500;
-  if (contributors_x <= 0) {
-    contributors_x = scale == ibbe::bench::Scale::smoke  ? 1
-                     : scale == ibbe::bench::Scale::full ? 100
-                                                         : 2;
+  // suite; scale only varies the number of churn pairs.
+  const std::size_t churn_pairs = scale == ibbe::bench::Scale::smoke  ? 10
+                                  : scale == ibbe::bench::Scale::full ? 250
+                                                                      : 50;
+  const std::size_t members = 1'000'000;
+  const std::size_t m = 1000;  // the paper's large-deployment |p|
+  std::printf("# group suite [scale=%s, %zu members, |p|=%zu, %zu churn pairs]\n",
+              ibbe::bench::scale_name(scale), members, m, churn_pairs);
+
+  ibbe::sgx::EnclavePlatform platform("bench-group");
+  ibbe::enclave::IbbeEnclave enclave(platform, m);
+  IndexCountingStore cloud;
+  ibbe::crypto::Drbg rng(7);
+  ibbe::system::AdminConfig config;
+  config.partition_size = m;  // shard_partitions = 0: the advisor picks k
+  ibbe::system::AdminApi admin(enclave, cloud,
+                               ibbe::pki::EcdsaKeyPair::generate(rng), config,
+                               /*seed=*/3);
+  const ibbe::system::GroupId gid = "g";
+  {
+    std::vector<Identity> users;
+    users.reserve(members);
+    for (std::size_t i = 0; i < members; ++i) {
+      // append(), not "u" + ...: GCC 12 flags the latter with a false
+      // -Wrestrict here.
+      users.push_back(std::string("u").append(std::to_string(i)));
+    }
+    ibbe::util::Stopwatch sw;
+    admin.create_group(gid, users);
+    std::printf("  group: %zu members, %zu partitions, %zu shards, created in %s\n",
+                admin.group_size(gid), admin.partition_count(gid),
+                admin.shard_count(gid),
+                ibbe::bench::fmt_seconds(sw.seconds()).c_str());
   }
 
-  std::printf("# group suite [scale=%s, contributors-x=%ld]\n",
-              ibbe::bench::scale_name(scale), contributors_x);
+  // A warm client's view, assembled from the committed shards; the same
+  // partitions framed as one object are the seed's monolithic matrix.
+  CachedIndex view;
+  double monolithic_bytes = 0;
+  {
+    const GroupManifest manifest = committed_manifest(cloud, gid);
+    IndexShard matrix;
+    for (const auto& ref : manifest.shards) {
+      auto raw = cloud.get(ibbe::system::shard_path(gid, ref.sid));
+      IndexShard shard =
+          IndexShard::from_bytes(SignedEnvelope::from_bytes(*raw).payload);
+      for (auto& partition : shard.partitions) {
+        matrix.partitions.push_back(std::move(partition));
+      }
+    }
+    monolithic_bytes = static_cast<double>(
+        SignedEnvelope{matrix.to_bytes(), {}}.to_bytes().size());
+    for (auto& [pid, list] : matrix.partitions) {
+      view.add_partition(pid, std::move(list));
+    }
+    view.counter = manifest.freshness.counter;
+    view.log_head = manifest.freshness.log_head;
+    (void)view.find_user("u0");  // build the lookup map outside the timing
+  }
 
-  struct Metric {
-    const char* name;
-    double value;
+  // Churn: each pair adds a joiner and revokes it. Only the admin calls are
+  // timed for mutation_ops_s; each commit's delta is then folded into the
+  // warm view, as every online client does.
+  const std::size_t bytes_before = cloud.index_bytes;
+  double mutate_s = 0;
+  double fold_us = 0;
+  bool folds_ok = true;
+  auto commit_and_fold = [&](auto&& mutate) {
+    ibbe::util::Stopwatch op;
+    mutate();
+    mutate_s += op.seconds();
+    const auto delta = committed_manifest(cloud, gid).head_delta();
+    ibbe::util::Stopwatch fold;
+    folds_ok = view.apply(delta) && folds_ok;
+    fold_us += fold.micros();
   };
-  std::vector<Metric> metrics;
-  metrics.push_back({"mutation_ops_s", mutation_ops_s(iters)});
-
-  auto churn = million_member_churn(1'000'000, churn_ops);
-  metrics.push_back({"index_bytes_per_op", churn.sharded_bytes_per_op});
-  metrics.push_back(
-      {"index_bytes_per_op_monolithic", churn.monolithic_bytes_per_op});
-  const double ratio =
-      churn.monolithic_bytes_per_op / churn.sharded_bytes_per_op;
-  metrics.push_back({"index_churn_ratio", ratio});
-  metrics.push_back({"delta_fold_us", churn.fold_us});
-  metrics.push_back(
-      {"replay_ops_s",
-       replay_ops_s(static_cast<std::size_t>(contributors_x))});
+  for (std::size_t i = 0; i < churn_pairs; ++i) {
+    const Identity joiner = "joiner" + std::to_string(i);
+    commit_and_fold([&] { admin.add_user(gid, joiner); });
+    commit_and_fold([&] { admin.remove_user(gid, joiner); });
+  }
+  const double ops = 2.0 * static_cast<double>(churn_pairs);
+  const double sharded_bytes =
+      static_cast<double>(cloud.index_bytes - bytes_before) / ops;
+  const double ratio = monolithic_bytes / sharded_bytes;
   const double rss = peak_rss_mb();
-  metrics.push_back({"peak_rss_mb", rss});
 
-  ibbe::bench::Table table(
+  const bool json_ok = ibbe::bench::report(
+      argc, argv,
       "group suite (" + std::string(ibbe::bench::scale_name(scale)) + ")",
-      {"metric", "value"});
-  for (const auto& m : metrics) {
-    table.row({m.name, ibbe::bench::fmt_double(m.value, 2)});
-  }
-  table.print();
-
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n");
-    for (std::size_t i = 0; i < metrics.size(); ++i) {
-      std::fprintf(f, "  \"%s\": %.2f%s\n", metrics[i].name, metrics[i].value,
-                   i + 1 < metrics.size() ? "," : "");
-    }
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
+      {{"mutation_ops_s", ops / mutate_s},
+       {"index_bytes_per_op", sharded_bytes},
+       {"index_bytes_per_op_monolithic", monolithic_bytes},
+       {"index_churn_ratio", ratio},
+       {"delta_fold_us", fold_us / ops},
+       {"peak_rss_mb", rss}});
 
   // Acceptance gates: the sharded layout must beat the matrix by >=100x per
   // op at a million members, and the whole scenario must fit the ceiling.
+  if (!folds_ok) {
+    std::fprintf(stderr, "FAIL: a committed delta did not fold into the view\n");
+    return 1;
+  }
   if (ratio < 100.0) {
     std::fprintf(stderr,
                  "FAIL: index_churn_ratio %.1f < 100 — a membership op "
@@ -444,5 +230,5 @@ int main(int argc, char** argv) {
                  rss, rss_ceiling_mb);
     return 1;
   }
-  return 0;
+  return json_ok ? 0 : 1;
 }

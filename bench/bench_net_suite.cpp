@@ -6,10 +6,6 @@
 //                           loopback): the wire tax on the hot read path;
 //   net_rpc_put_us        — one put() round trip (mutation + dedup-cache
 //                           insert server-side);
-//   net_grant_revoke_ops  — sustained membership mutations per second with
-//                           the AdminApi driving a RemoteStore: the paper's
-//                           grant/revoke throughput, now with every cloud
-//                           round trip crossing a real socket;
 //   net_poll_p99_ms       — p99 latency from an admin put landing to a
 //                           long-polling client's wake-up, with `clients`
 //                           concurrent pollers parked on the server (the
@@ -27,7 +23,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -37,7 +32,6 @@
 #include "common.h"
 #include "net/remote_store.h"
 #include "net/server.h"
-#include "system/admin.h"
 #include "util/stopwatch.h"
 
 namespace {
@@ -80,34 +74,6 @@ double rpc_us(bool mutate, int iters) {
     }
   }
   return sw.micros() / iters;
-}
-
-/// Sustained membership mutations per second with the admin over the wire.
-double grant_revoke_ops(int iters) {
-  ibbe::sgx::EnclavePlatform platform("bench-net");
-  ibbe::enclave::IbbeEnclave enclave(platform, 4);
-  CloudStore backing;
-  NetServer server(backing);
-  RemoteStore remote(client_config(server));
-  ibbe::crypto::Drbg rng(7);
-  ibbe::system::AdminConfig config;
-  config.partition_size = 4;
-  config.retry = ibbe::util::RetryPolicy{}.without_delays();
-  ibbe::system::AdminApi admin(enclave, remote,
-                               ibbe::pki::EcdsaKeyPair::generate(rng), config,
-                               /*seed=*/3);
-  const ibbe::system::GroupId gid = "g";
-  std::vector<ibbe::core::Identity> users;
-  for (int i = 0; i < 24; ++i) users.push_back("u" + std::to_string(i));
-  admin.create_group(gid, users);
-  admin.remove_user(gid, "u0");  // warm-up pair
-  admin.add_user(gid, "u0");
-  ibbe::util::Stopwatch sw;
-  for (int i = 0; i < iters; ++i) {
-    admin.remove_user(gid, users[static_cast<std::size_t>(i % 24)]);
-    admin.add_user(gid, users[static_cast<std::size_t>(i % 24)]);
-  }
-  return (2.0 * iters) / sw.seconds();
 }
 
 struct PollLatencies {
@@ -197,52 +163,23 @@ PollLatencies poll_latency_ms(int clients, int rounds) {
 
 int main(int argc, char** argv) {
   const ibbe::bench::Scale scale = ibbe::bench::parse_scale(argc, argv);
-  std::string json_path;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
-  }
   const bool smoke = scale == ibbe::bench::Scale::smoke;
   const bool full = scale == ibbe::bench::Scale::full;
   const int rpc_iters = smoke ? 200 : full ? 10000 : 2000;
-  const int churn_iters = smoke ? 5 : full ? 100 : 25;
   const int clients = smoke ? 32 : full ? 512 : 128;
   const int rounds = smoke ? 5 : full ? 50 : 20;
 
-  struct Metric {
-    const char* name;
-    double value;
-  };
-  std::vector<Metric> metrics;
-  metrics.push_back({"net_rpc_get_us", rpc_us(false, rpc_iters)});
-  metrics.push_back({"net_rpc_put_us", rpc_us(true, rpc_iters)});
-  metrics.push_back({"net_grant_revoke_ops", grant_revoke_ops(churn_iters)});
-  auto poll = poll_latency_ms(clients, rounds);
-  metrics.push_back({"net_poll_p99_ms", poll.p99_ms});
-  metrics.push_back({"net_poll_mean_ms", poll.mean_ms});
-
-  ibbe::bench::Table table(
-      "net suite (" + std::string(ibbe::bench::scale_name(scale)) + ", " +
-          std::to_string(clients) + " pollers)",
-      {"metric", "value"});
-  for (const auto& m : metrics) {
-    table.row({m.name, ibbe::bench::fmt_double(m.value, 2)});
-  }
-  table.print();
-
-  if (!json_path.empty()) {
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n");
-    for (std::size_t i = 0; i < metrics.size(); ++i) {
-      std::fprintf(f, "  \"%s\": %.2f%s\n", metrics[i].name, metrics[i].value,
-                   i + 1 < metrics.size() ? "," : "");
-    }
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
-  return 0;
+  const double get_us = rpc_us(false, rpc_iters);
+  const double put_us = rpc_us(true, rpc_iters);
+  const auto poll = poll_latency_ms(clients, rounds);
+  return ibbe::bench::report(
+             argc, argv,
+             "net suite (" + std::string(ibbe::bench::scale_name(scale)) +
+                 ", " + std::to_string(clients) + " pollers)",
+             {{"net_rpc_get_us", get_us},
+              {"net_rpc_put_us", put_us},
+              {"net_poll_p99_ms", poll.p99_ms},
+              {"net_poll_mean_ms", poll.mean_ms}})
+             ? 0
+             : 1;
 }

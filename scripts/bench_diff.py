@@ -3,11 +3,13 @@
 
 Usage: bench_diff.py BASELINE.json FRESH.json
 
-Prints one row per metric (ratio = fresh / baseline; > 1 means slower than
-the baseline) and a WARNING line for every shared metric that regressed by
-more than the threshold. Always exits 0 — container benchmarks jitter by
-+-10%, so the perf trajectory warns instead of failing CI; a genuine
-regression shows up as the same warning on every run.
+Prints one row per metric (ratio = fresh / baseline) and a WARNING line for
+every shared metric that regressed by more than the threshold. The key's
+suffix says which way is better: `_ops_s` (a rate) and `_ratio` are
+higher-is-better, every other key (times, bytes, counts) lower-is-better.
+Always exits 0 — container benchmarks jitter by +-10%, so the perf
+trajectory warns instead of failing CI; a genuine regression shows up as the
+same warning on every run.
 
 The committed BENCH_baseline.json at the repo root is the reference
 snapshot; refresh it (and the README tables) whenever a PR intentionally
@@ -18,6 +20,7 @@ import json
 import sys
 
 THRESHOLD = 1.15
+HIGHER_IS_BETTER = ("_ops_s", "_ratio")
 
 
 def main() -> int:
@@ -44,11 +47,14 @@ def main() -> int:
             print(f"{key:<{width}}  (only in {present}: {value:.2f})")
             continue
         ratio = n / b if b else float("inf")
-        flag = "  <-- regression" if ratio > THRESHOLD else ""
+        # How many times worse than the baseline, whichever way is worse.
+        worse = (b / n if n else float("inf")) if key.endswith(
+            HIGHER_IS_BETTER) else ratio
+        flag = "  <-- regression" if worse > THRESHOLD else ""
         print(f"{key:<{width}}  {b:12.2f}  {n:12.2f}  {ratio:7.3f}{flag}")
-        if ratio > THRESHOLD:
+        if worse > THRESHOLD:
             warnings.append(
-                f"bench_diff: WARNING: {key} regressed {ratio:.2f}x "
+                f"bench_diff: WARNING: {key} regressed {worse:.2f}x "
                 f"({b:.2f} -> {n:.2f})")
     for w in warnings:
         print(w, file=sys.stderr)

@@ -3,9 +3,9 @@
 # resolve), configure, build, run the test suite, then run every bench
 # binary at --scale smoke (and a short micro-crypto sweep) so that a perf
 # regression or bit-rotted bench fails the pipeline, not just a broken unit
-# test. Also emits BENCH_scalar.json (pairing / G1 / G2 / GT exponentiation
-# / MSM-64 / decrypt-16 / batched decrypt; schema in docs/benchmarks.md) so
-# future revisions have a perf trajectory to diff against.
+# test. Also emits BENCH_scalar.json (the merged metrics of the scalar,
+# fault, net and group suites; schema in docs/benchmarks.md) so future
+# revisions have a perf trajectory to diff against.
 #
 # Usage: scripts/ci.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -91,49 +91,42 @@ for bench in "$BUILD_DIR"/bench_fig* "$BUILD_DIR"/bench_table* \
   "$bench" --scale smoke
 done
 
-# Scalar-multiplication perf trajectory: machine-readable summary for
-# cross-revision diffing. The bench header prints which Montgomery backend
-# (MULX/ADX vs portable) the run dispatched to.
+# Perf trajectory: the four suites merge their metrics into one flat
+# BENCH_scalar.json (schema in docs/benchmarks.md) for cross-revision
+# diffing; each run adds its keys to what the previous ones wrote.
+SNAPSHOT="$BUILD_DIR/BENCH_scalar.json"
+rm -f "$SNAPSHOT"
+
+# Scalar multiplication, pairing and decrypt. The bench header prints which
+# Montgomery backend (MULX/ADX vs portable) the run dispatched to.
 echo "==> $BUILD_DIR/bench_scalar_suite"
-"$BUILD_DIR/bench_scalar_suite" --scale smoke --json "$BUILD_DIR/BENCH_scalar.json"
-cat "$BUILD_DIR/BENCH_scalar.json"
+"$BUILD_DIR/bench_scalar_suite" --scale smoke --json "$SNAPSHOT"
 
-# Degraded-mode trajectory: admin mutation cost at 0%/1%/10% cloud fault
-# rates plus 64-partition crash recovery, merged into the same JSON so one
-# file carries the whole perf surface.
+# Degraded mode: admin mutation cost at 0%/1%/10% cloud fault rates plus
+# 64-partition crash recovery.
 echo "==> $BUILD_DIR/bench_fault_suite"
-"$BUILD_DIR/bench_fault_suite" --scale smoke --json "$BUILD_DIR/BENCH_fault.json"
+"$BUILD_DIR/bench_fault_suite" --scale smoke --json "$SNAPSHOT"
 
-# Networked front-end trajectory: RPC round-trip cost, grant/revoke
-# throughput over the wire, and long-poll fan-out wake-up latency against a
-# live loopback NetServer, merged into the same JSON.
+# Networked front-end: RPC round-trip cost and long-poll fan-out wake-up
+# latency against a live loopback NetServer.
 echo "==> $BUILD_DIR/bench_net_suite"
-"$BUILD_DIR/bench_net_suite" --scale smoke --json "$BUILD_DIR/BENCH_net.json"
+"$BUILD_DIR/bench_net_suite" --scale smoke --json "$SNAPSHOT"
 
-# Million-member group-state trajectory: mutation throughput, index bytes per
-# membership op under the sharded layout vs the monolithic matrix (the bench
-# itself fails below the 100x acceptance ratio), client delta-fold cost, and
-# the Linux-trace metadata replay. The RSS ceiling is always on: the
-# million-member scenario must never regress into matrix-sized allocations.
+# Million-member group state on the real AdminApi: mutation throughput,
+# index bytes per membership op under the sharded layout vs the monolithic
+# matrix (the bench itself fails below the 100x acceptance ratio) and the
+# client delta-fold cost. The RSS ceiling is always on: the million-member
+# scenario must never regress into matrix-sized allocations.
 echo "==> $BUILD_DIR/bench_group_suite"
 "$BUILD_DIR/bench_group_suite" --scale smoke --rss-ceiling-mb 1536 \
-  --json "$BUILD_DIR/BENCH_group.json"
-python3 - "$BUILD_DIR/BENCH_scalar.json" "$BUILD_DIR/BENCH_fault.json" \
-  "$BUILD_DIR/BENCH_net.json" "$BUILD_DIR/BENCH_group.json" << 'PY'
-import json, sys
-merged = json.load(open(sys.argv[1]))
-for extra in sys.argv[2:]:
-    merged.update(json.load(open(extra)))
-with open(sys.argv[1], "w") as f:
-    json.dump(merged, f, indent=2)
-    f.write("\n")
-PY
+  --json "$SNAPSHOT"
+cat "$SNAPSHOT"
 
 # Diff against the committed baseline snapshot: prints per-metric ratios and
 # WARNS (never fails — container timings jitter) on >1.15x regressions.
 if [ -f BENCH_baseline.json ]; then
   echo "==> bench_diff vs BENCH_baseline.json"
-  python3 scripts/bench_diff.py BENCH_baseline.json "$BUILD_DIR/BENCH_scalar.json"
+  python3 scripts/bench_diff.py BENCH_baseline.json "$SNAPSHOT"
 else
   echo "ci.sh: no BENCH_baseline.json committed; skipping perf diff" >&2
 fi
